@@ -45,7 +45,7 @@ def _fmt(value: float) -> str:
 
 
 def _write_json(obj: dict, path: str | None) -> None:
-    text = json.dumps(obj, indent=2)
+    text = json.dumps(obj, indent=2, allow_nan=False)
     if path is None:
         print(text)
     else:
@@ -58,15 +58,18 @@ def _read_series(path: str) -> np.ndarray:
     """Single-column CSV, optional header row."""
     values = []
     with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.reader(fh):
+        for line, row in enumerate(csv.reader(fh), start=1):
             if not row:
                 continue
             try:
-                values.append(float(row[0]))
+                value = float(row[0])
             except ValueError:
                 if values:
                     raise ValueError(f"non-numeric value {row[0]!r} in {path}") from None
-                # header row
+                continue  # header row
+            if not math.isfinite(value):
+                raise ValueError(f"non-finite value {row[0]!r} in {path} at row {line}")
+            values.append(value)
     if not values:
         raise ValueError(f"no numeric data found in {path}")
     return np.asarray(values)
@@ -161,7 +164,7 @@ def _transformed_windows(windows: np.ndarray, kind: str, wavelet: str, levels: i
         return windows
     if kind == "dft":
         return transforms.real_fourier_coordinates(windows)
-    return np.stack([transforms.dwt_forward(row, wavelet, levels).coeffs for row in windows])
+    return transforms.dwt_forward(windows, wavelet, levels).coeffs
 
 
 def _cmd_diagnose(args: argparse.Namespace) -> int:

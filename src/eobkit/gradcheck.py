@@ -197,20 +197,22 @@ def run_gradient_suite(lengths: tuple[int, ...] = (8, 32, 128), instances: int =
                        ) -> list[GradCheckReport]:
     """Run the FD oracle on the registered losses.
 
-    `instances` is per loss, spread evenly across the requested lengths.
+    `instances` is per loss, split evenly across `lengths`; the leading lengths get the rest.
     """
     cases = LOSS_CASES if names is None else tuple(c for c in LOSS_CASES if c.name in names)
     if names is not None and len(cases) != len(names):
         known = {c.name for c in LOSS_CASES}
         raise ValueError(f"unknown loss case(s): {sorted(set(names) - known)}")
+    if instances < 1:
+        raise ValueError(f"instances must be >= 1, got {instances}")
     reports = []
     rng = make_rng(seed)
-    per_length = max(1, instances // len(lengths))
+    per_length, extra = divmod(instances, len(lengths))
     for case in cases:
         worst = 0.0
         count = 0
-        for L in lengths:
-            for _ in range(per_length):
+        for i, L in enumerate(lengths):
+            for _ in range(per_length + (i < extra)):
                 x, x_hat = case.make_pair(rng, L)
                 loss_fn = case.make_loss(rng, L)
                 analytic = loss_fn(x, x_hat).grad_wrt_prediction

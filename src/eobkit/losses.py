@@ -146,27 +146,12 @@ def _dft_pullback(g: np.ndarray) -> np.ndarray:
     return np.fft.ifft(g, norm="ortho", axis=-1).real
 
 
-def _dwt_rows(x: np.ndarray, cfg: HarmonizedConfig) -> np.ndarray:
-    if x.ndim == 1:
-        return transforms.dwt_forward(x, cfg.wavelet, cfg.levels).coeffs
-    return np.stack([transforms.dwt_forward(row, cfg.wavelet, cfg.levels).coeffs for row in x])
-
-
-def _dwt_pullback_rows(g: np.ndarray, cfg: HarmonizedConfig) -> np.ndarray:
-    def one(row: np.ndarray) -> np.ndarray:
-        return transforms.dwt_inverse(
-            transforms.WaveletCoeffs(coeffs=row, levels=cfg.levels, wavelet=cfg.wavelet))
-    if g.ndim == 1:
-        return one(g)
-    return np.stack([one(row) for row in g])
-
-
 def _forward_coeffs(x: np.ndarray, cfg: HarmonizedConfig) -> np.ndarray:
     """Coefficients of x under cfg.transform: complex for dft, real otherwise."""
     if cfg.transform == "dft":
         return _dft(x)
     if cfg.transform == "dwt":
-        return _dwt_rows(x, cfg)
+        return transforms.dwt_forward(x, cfg.wavelet, cfg.levels).coeffs
     return x
 
 
@@ -174,7 +159,7 @@ def _pullback(g: np.ndarray, cfg: HarmonizedConfig) -> np.ndarray:
     if cfg.transform == "dft":
         return _dft_pullback(g)
     if cfg.transform == "dwt":
-        return _dwt_pullback_rows(g, cfg)
+        return transforms.dwt_inverse(transforms.WaveletCoeffs(g, cfg.levels, cfg.wavelet))
     return g
 
 

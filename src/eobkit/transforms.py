@@ -13,6 +13,7 @@ supported there, and reports the discarded energy otherwise.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -160,6 +161,7 @@ WAVELET_FILTERS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def _filters(wavelet: str) -> tuple[np.ndarray, np.ndarray]:
     if wavelet not in WAVELET_FILTERS:
         raise ValueError(f"unknown wavelet {wavelet!r}; expected one of {sorted(WAVELET_FILTERS)}")
@@ -170,7 +172,7 @@ def _filters(wavelet: str) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class WaveletCoeffs:
-    """Flat coefficient vector: approximation block, then details coarse to fine."""
+    """Coefficients on the last axis of (..., L): approximation, then details coarse to fine."""
 
     coeffs: np.ndarray
     levels: int
@@ -182,68 +184,78 @@ class WaveletCoeffs:
         object.__setattr__(self, "coeffs", coeffs)
         if self.levels < 1:
             raise ValueError(f"levels must be >= 1, got {self.levels}")
-        if coeffs.shape[0] % (1 << self.levels) != 0:
-            raise ValueError(
-                f"coefficient length {coeffs.shape[0]} is not divisible by 2^{self.levels}")
+        if coeffs.ndim < 1 or coeffs.shape[-1] < 1 or coeffs.shape[-1] % (1 << self.levels):
+            raise ValueError(f"coefficient shape {coeffs.shape} must end in a positive length "
+                             f"divisible by 2^{self.levels}")
 
     @property
     def length(self) -> int:
-        return self.coeffs.shape[0]
+        return self.coeffs.shape[-1]
 
     def blocks(self) -> dict[str, np.ndarray]:
-        """Named bands: a{J}, d{J}, d{J-1}, ..., d1."""
+        """Named bands along the last axis: a{J}, d{J}, d{J-1}, ..., d1."""
         out = {}
         size = self.length >> self.levels
-        out[f"a{self.levels}"] = self.coeffs[:size]
+        out[f"a{self.levels}"] = self.coeffs[..., :size]
         start = size
         for level in range(self.levels, 0, -1):
-            out[f"d{level}"] = self.coeffs[start:start + size]
+            out[f"d{level}"] = self.coeffs[..., start:start + size]
             start += size
             size *= 2
         return out
 
-    def energy(self) -> float:
-        return float(np.sum(self.coeffs**2))
+    def energy(self) -> float | np.ndarray:
+        return np.sum(self.coeffs**2, axis=-1)
+
+
+@functools.lru_cache(maxsize=64)
+def _level_indices(L: int, taps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gathers of one level, cached for per-row callers: (2j + n) mod L and (m - k) mod L/2."""
+    M = L // 2
+    return ((2 * np.arange(M)[:, None] + np.arange(taps)[None, :]) % L,
+            (np.arange(M)[None, :] - np.arange(taps // 2)[:, None]) % M)
 
 
 def _analysis_step(x: np.ndarray, h: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    L = x.shape[0]
-    idx = (2 * np.arange(L // 2)[:, None] + np.arange(h.size)[None, :]) % L
-    windows = x[idx]
-    return windows @ h, windows @ g
+    # a[..., j] = sum_n x[..., (2j + n) mod L] h[n]; all rows share one matrix-vector
+    # product, so each row gets the arithmetic of a 1-d call
+    L = x.shape[-1]
+    windows = x.reshape(-1, L)[:, _level_indices(L, h.size)[0]].reshape(-1, h.size)
+    shape = x.shape[:-1] + (L // 2,)
+    return (windows @ h).reshape(shape), (windows @ g).reshape(shape)
 
 
 def _synthesis_step(a: np.ndarray, d: np.ndarray, h: np.ndarray, g: np.ndarray) -> np.ndarray:
-    L = 2 * a.shape[0]
-    idx = (2 * np.arange(a.shape[0])[:, None] + np.arange(h.size)[None, :]) % L
-    x = np.zeros(L)
-    np.add.at(x, idx, a[:, None] * h[None, :] + d[:, None] * g[None, :])
-    return x
+    # transpose of the analysis gather, with terms laid out (..., k, r, m):
+    # x[..., 2m + r] = sum_k a[..., (m - k) mod M] h[2k + r] + d[..., (m - k) mod M] g[2k + r]
+    M = a.shape[-1]
+    idx = _level_indices(2 * M, h.size)[1]
+    terms = (a[..., idx][..., None, :] * h.reshape(-1, 2, 1)
+             + d[..., idx][..., None, :] * g.reshape(-1, 2, 1))
+    return np.swapaxes(terms.sum(axis=-3), -1, -2).reshape(a.shape[:-1] + (2 * M,))
 
 
 def dwt_forward(x: np.ndarray, wavelet: str = "haar", levels: int = 1) -> WaveletCoeffs:
-    """Pyramidal analysis with periodic extension; O(L) per level."""
+    """Pyramidal analysis of the last axis of (..., L) with periodic extension; O(L) per level."""
     x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError(f"input must be 1-d, got shape {x.shape}")
     if levels < 1:
         raise ValueError(f"levels must be >= 1, got {levels}")
-    if x.shape[0] % (1 << levels) != 0:
+    if x.ndim < 1 or x.shape[-1] < 1 or x.shape[-1] % (1 << levels):
         raise ValueError(
-            f"length {x.shape[0]} is not divisible by 2^{levels}; pad the input "
-            f"(see pad_edge_pow2) or reduce the level count")
+            f"input shape {x.shape} must end in a positive length divisible by 2^{levels}; "
+            f"pad the input (see pad_edge_pow2) or reduce the level count")
     h, g = _filters(wavelet)
     approx = x
     details: list[np.ndarray] = []
     for _ in range(levels):
         approx, detail = _analysis_step(approx, h, g)
         details.append(detail)
-    return WaveletCoeffs(coeffs=np.concatenate([approx] + details[::-1]),
+    return WaveletCoeffs(coeffs=np.concatenate([approx] + details[::-1], axis=-1),
                          levels=levels, wavelet=wavelet)
 
 
 def dwt_inverse(w: WaveletCoeffs) -> np.ndarray:
-    """Synthesis by transposition of the orthogonal analysis; exact inverse."""
+    """Synthesis by transposition of the orthogonal analysis; exact inverse, shaped like w."""
     h, g = _filters(w.wavelet)
     blocks = w.blocks()
     approx = blocks[f"a{w.levels}"]
@@ -254,12 +266,7 @@ def dwt_inverse(w: WaveletCoeffs) -> np.ndarray:
 
 def dwt_matrix(length: int, wavelet: str = "haar", levels: int = 1) -> np.ndarray:
     """Materialize the analysis matrix W (rows map x to coefficients)."""
-    W = np.empty((length, length))
-    for i in range(length):
-        e = np.zeros(length)
-        e[i] = 1.0
-        W[:, i] = dwt_forward(e, wavelet, levels).coeffs
-    return W
+    return dwt_forward(np.eye(length), wavelet, levels).coeffs.T
 
 
 def pad_edge_pow2(x: np.ndarray) -> tuple[np.ndarray, int]:

@@ -134,7 +134,35 @@ class TestTransform:
         assert run_cli("transform", "--input", str(src), "--kind", "dwt") == 1
 
 
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    @pytest.mark.parametrize("argv", [
+        ("eob", "--estimate", "--input", "{src}"),
+        ("transform", "--input", "{src}", "--kind", "dwt"),
+        ("diagnose", "--input", "{src}", "--window", "4"),
+    ], ids=["eob", "transform", "diagnose"])
+    def test_rejected_with_file_and_row(self, bad, argv, tmp_path, capsys):
+        src = tmp_path / "series.csv"
+        rows = [f"{0.1 * i:.1f}" for i in range(16)]
+        rows[5] = bad
+        src.write_text("value\n" + "\n".join(rows) + "\n")
+        assert run_cli(*(a.format(src=src) for a in argv)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"non-finite value '{bad}' in {src} at row 7" in captured.err
+
+
 class TestLossCheck:
+    @pytest.mark.parametrize("instances,lengths", [("100", "8,32,128"), ("2", "8,16,32")])
+    def test_reports_exact_instance_count(self, instances, lengths, capsys):
+        assert run_cli("loss-check", "--losses", "temporal_l2,harmonized_l2_dwt",
+                       "--instances", instances, "--lengths", lengths) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert [c["instances"] for c in report["checks"]] == [int(instances)] * 2
+
+    def test_zero_instances_is_validation_error(self):
+        assert run_cli("loss-check", "--instances", "0") == 1
+
     def test_subset_passes(self, capsys):
         assert run_cli("loss-check", "--losses", "temporal_l2,freq_real_imag_l2",
                        "--instances", "4", "--lengths", "8,16") == 0

@@ -147,6 +147,16 @@ class TestRunGrid:
         parallel = run_grid(grid, model, tiny_cfg(), jobs=2)
         assert serial.points == parallel.points
 
+    def test_parallel_matches_serial_on_dwt_loss(self):
+        grid = tiny_grid()
+        model = ModelSpec(kind="linear", input_len=16, output_len=16)
+        loss = LossSpec(kind="harmonized", norm="l2", transform="dwt", wavelet="db2",
+                        levels=2)
+        serial = run_grid(grid, model, tiny_cfg(loss=loss), jobs=1)
+        parallel = run_grid(grid, model, tiny_cfg(loss=loss), jobs=2)
+        assert serial.points and not serial.failures
+        assert serial.points == parallel.points
+
     def test_bayes_floor_against_true_baseline(self):
         # a trained model cannot reliably beat the exact cumulative optimum
         grid = tiny_grid(ssnr_x_values=(32.0,), series_length=3000, history=32,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eobkit.transforms import (AmpPhase, Spectrum, compress_truncate,
+from eobkit.transforms import (AmpPhase, Spectrum, WaveletCoeffs, compress_truncate,
                                dft_forward, dft_inverse, dwt_forward, dwt_inverse,
                                dwt_matrix, from_amp_phase, inverse_pad, pad_edge_pow2,
                                to_amp_phase)
@@ -115,6 +115,54 @@ class TestDwt:
     def test_unknown_wavelet(self):
         with pytest.raises(ValueError, match="wavelet"):
             dwt_forward(np.ones(8), "db7", 1)
+
+
+class TestBatchedDwt:
+    @pytest.mark.parametrize("wavelet", ["haar", "db2"])
+    @pytest.mark.parametrize("levels", [1, 2, 3])
+    @pytest.mark.parametrize("batch", [(), (5,), (3, 4)])
+    def test_rows_match_single_calls(self, wavelet, levels, batch, rng):
+        X = rng.normal(size=batch + (32,))
+        w = dwt_forward(X, wavelet, levels)
+        assert w.coeffs.shape == X.shape and w.length == 32
+        for i in np.ndindex(*batch):
+            np.testing.assert_allclose(w.coeffs[i], dwt_forward(X[i], wavelet, levels).coeffs,
+                                       rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dwt_inverse(w), X, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(w.energy(), np.sum(X**2, axis=-1), rtol=1e-12)
+        assert all(block.shape[:-1] == batch for block in w.blocks().values())
+
+    @pytest.mark.parametrize("wavelet", ["haar", "db2"])
+    def test_adjoint_identity(self, wavelet, rng):
+        x, c = rng.normal(size=(6, 64)), rng.normal(size=(6, 64))
+        wx = dwt_forward(x, wavelet, 3).coeffs
+        wtc = dwt_inverse(WaveletCoeffs(coeffs=c, levels=3, wavelet=wavelet))
+        np.testing.assert_allclose(np.sum(wx * c, axis=-1), np.sum(x * wtc, axis=-1),
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("wavelet", ["haar", "db2"])
+    @pytest.mark.parametrize("length,levels", [(8, 1), (16, 2), (64, 3)])
+    def test_matrix_matches_column_reference(self, wavelet, length, levels):
+        reference = np.column_stack([dwt_forward(e, wavelet, levels).coeffs
+                                     for e in np.eye(length)])
+        np.testing.assert_allclose(dwt_matrix(length, wavelet, levels), reference,
+                                   rtol=0, atol=1e-12)
+
+    def test_indivisible_batched_length_rejected(self):
+        with pytest.raises(ValueError, match="divisible"):
+            dwt_forward(np.ones((4, 12)), "db2", 3)
+        with pytest.raises(ValueError, match="divisible"):
+            WaveletCoeffs(coeffs=np.ones((4, 12)), levels=3, wavelet="db2")
+
+    def test_batched_input_still_validated(self):
+        with pytest.raises(ValueError, match="wavelet"):
+            dwt_forward(np.ones((2, 8)), "db7", 1)
+        with pytest.raises(ValueError, match="levels"):
+            dwt_forward(np.ones((2, 8)), "haar", 0)
+        with pytest.raises(ValueError, match="positive length"):
+            dwt_forward(np.float64(1.0), "haar", 1)
+        with pytest.raises(ValueError, match="positive length"):
+            dwt_forward(np.ones((3, 0)), "haar", 1)
 
 
 class TestPadding:
