@@ -293,7 +293,7 @@ class _TrainingLoss:
         else:
             ev = losses.harmonized_l1(Y, P, self.ema, self.cfg)
         n = Y.shape[0] if Y.ndim > 1 else 1
-        return ev.value / n, ev.grad_wrt_prediction / n
+        return float(np.sum(ev.value)) / n, ev.grad_wrt_prediction / n
 
 
 # ---------------------------------------------------------------------------

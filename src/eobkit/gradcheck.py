@@ -27,21 +27,18 @@ SMOOTH_TOL = 1e-5
 KINKED_TOL = 1e-4
 
 
-def central_difference(fn: Callable[[np.ndarray], float], x_hat: np.ndarray,
+def central_difference(fn: Callable[[np.ndarray], np.ndarray], x_hat: np.ndarray,
                        h_scale: float = 1e-6) -> np.ndarray:
-    """Central finite differences of a scalar function of the prediction."""
+    """Central finite differences of a per-row function of a 1-D prediction.
+
+    `fn` gets every probe in one call, as a (2L, L) stack: rows x_hat + h*e_i,
+    then rows x_hat - h*e_i. It returns their 2L values.
+    """
+    L = x_hat.size
     h = h_scale * max(1.0, float(np.max(np.abs(x_hat))))
-    grad = np.zeros_like(x_hat)
-    probe = x_hat.copy()
-    for i in range(x_hat.size):
-        keep = probe[i]
-        probe[i] = keep + h
-        up = fn(probe)
-        probe[i] = keep - h
-        down = fn(probe)
-        probe[i] = keep
-        grad[i] = (up - down) / (2.0 * h)
-    return grad
+    step = h * np.eye(L)
+    values = fn(np.concatenate([x_hat + step, x_hat - step]))
+    return (values[:L] - values[L:]) / (2.0 * h)
 
 
 def relative_error(analytic: np.ndarray, fd: np.ndarray) -> float:
@@ -53,20 +50,32 @@ def relative_error(analytic: np.ndarray, fd: np.ndarray) -> float:
 # Margin-safe instance constructors
 # ---------------------------------------------------------------------------
 
+def _signed(rng: np.random.Generator, lo: float, hi: float, size: int) -> np.ndarray:
+    """Random signs times magnitudes in [lo, hi]."""
+    return rng.choice([-1.0, 1.0], size=size) * rng.uniform(lo, hi, size=size)
+
+
+def _bins(L: int) -> tuple[np.ndarray, np.ndarray]:
+    """Free bins 1..(L+1)//2 - 1 and the real bins (0, and L/2 for even L)."""
+    return np.arange(1, (L + 1) // 2), np.array([0, L // 2] if L % 2 == 0 else [0])
+
+
+def _hermitian(L: int, free_values: np.ndarray, real_values: np.ndarray) -> np.ndarray:
+    """Spectrum of a real signal; the mirror bins L - k are set by conjugate symmetry."""
+    free, real = _bins(L)
+    spec = np.zeros(L, dtype=complex)
+    spec[free] = free_values
+    spec[L - free] = np.conj(free_values)
+    spec[real] = real_values
+    return spec
+
+
 def _hermitian_margin_spectrum(rng: np.random.Generator, L: int,
                                lo: float = 0.2, hi: float = 1.0) -> np.ndarray:
-    """Spectrum of a real signal with |re|, |im| in [lo, hi] on all free bins."""
-    spec = np.zeros(L, dtype=complex)
-    half = L // 2
-    for k in range(1, (L + 1) // 2):
-        re = rng.choice([-1.0, 1.0]) * rng.uniform(lo, hi)
-        im = rng.choice([-1.0, 1.0]) * rng.uniform(lo, hi)
-        spec[k] = re + 1j * im
-        spec[L - k] = re - 1j * im
-    spec[0] = rng.choice([-1.0, 1.0]) * rng.uniform(lo, hi)
-    if L % 2 == 0:
-        spec[half] = rng.choice([-1.0, 1.0]) * rng.uniform(lo, hi)
-    return spec
+    """Spectrum of a real signal with |re|, |im| in [lo, hi] on all free bins, |re| on real ones."""
+    free, real = _bins(L)
+    return _hermitian(L, _signed(rng, lo, hi, free.size) + 1j * _signed(rng, lo, hi, free.size),
+                      _signed(rng, lo, hi, real.size))
 
 
 def _smooth_pair(rng: np.random.Generator, L: int) -> tuple[np.ndarray, np.ndarray]:
@@ -77,8 +86,7 @@ def _smooth_pair(rng: np.random.Generator, L: int) -> tuple[np.ndarray, np.ndarr
 def _time_margin_pair(rng: np.random.Generator, L: int) -> tuple[np.ndarray, np.ndarray]:
     """Error entries bounded away from zero (temporal kinks)."""
     x_hat = rng.normal(size=L)
-    e = rng.choice([-1.0, 1.0], size=L) * rng.uniform(0.2, 1.0, size=L)
-    return x_hat + e, x_hat
+    return x_hat + _signed(rng, 0.2, 1.0, L), x_hat
 
 
 def _spectral_margin_pair(rng: np.random.Generator, L: int) -> tuple[np.ndarray, np.ndarray]:
@@ -89,27 +97,17 @@ def _spectral_margin_pair(rng: np.random.Generator, L: int) -> tuple[np.ndarray,
 
 
 def _polar_margin_pair(rng: np.random.Generator, L: int) -> tuple[np.ndarray, np.ndarray]:
-    """Both spectra with amplitudes >= 0.3; amp and phase gaps in [0.15, 0.5]."""
-    amp_hat = np.zeros(L)
-    phase_hat = np.zeros(L)
-    amp = np.zeros(L)
-    phase = np.zeros(L)
-    for k in range(1, (L + 1) // 2):
-        amp_hat[k] = amp_hat[L - k] = rng.uniform(0.5, 1.5)
-        phase_hat[k] = rng.uniform(-2.0, 2.0)
-        phase_hat[L - k] = -phase_hat[k]
-        amp[k] = amp[L - k] = amp_hat[k] + rng.choice([-1.0, 1.0]) * rng.uniform(0.15, 0.3)
-        dphi = rng.choice([-1.0, 1.0]) * rng.uniform(0.15, 0.5)
-        phase[k] = phase_hat[k] + dphi
-        phase[L - k] = -phase[k]
+    """Predicted amplitudes in [0.5, 1.5]; amp gaps in [0.15, 0.3], phase gaps in [0.15, 0.5]."""
+    free, real = _bins(L)
+    amp_hat = rng.uniform(0.5, 1.5, size=free.size)
+    phase_hat = rng.uniform(-2.0, 2.0, size=free.size)
+    amp = amp_hat + _signed(rng, 0.15, 0.3, free.size)
+    phase = phase_hat + _signed(rng, 0.15, 0.5, free.size)
     # real bins carry an amplitude-only gap; their phase is locally constant
-    amp_hat[0] = rng.uniform(0.5, 1.5)
-    amp[0] = amp_hat[0] + rng.uniform(0.15, 0.3)
-    if L % 2 == 0:
-        amp_hat[L // 2] = rng.uniform(0.5, 1.5)
-        amp[L // 2] = amp_hat[L // 2] + rng.uniform(0.15, 0.3)
-    x_hat = np.fft.ifft(amp_hat * np.exp(1j * phase_hat), norm="ortho").real
-    x = np.fft.ifft(amp * np.exp(1j * phase), norm="ortho").real
+    real_hat = rng.uniform(0.5, 1.5, size=real.size)
+    real_amp = real_hat + rng.uniform(0.15, 0.3, size=real.size)
+    x_hat = np.fft.ifft(_hermitian(L, amp_hat * np.exp(1j * phase_hat), real_hat), norm="ortho").real
+    x = np.fft.ifft(_hermitian(L, amp * np.exp(1j * phase), real_amp), norm="ortho").real
     return x, x_hat
 
 
@@ -216,7 +214,8 @@ def run_gradient_suite(lengths: tuple[int, ...] = (8, 32, 128), instances: int =
                 x, x_hat = case.make_pair(rng, L)
                 loss_fn = case.make_loss(rng, L)
                 analytic = loss_fn(x, x_hat).grad_wrt_prediction
-                fd = central_difference(lambda xh: loss_fn(x, xh).value, x_hat)
+                fd = central_difference(
+                    lambda xh: loss_fn(np.broadcast_to(x, xh.shape), xh).value, x_hat)
                 worst = max(worst, relative_error(analytic, fd))
                 count += 1
         reports.append(GradCheckReport(name=case.name, tolerance=case.tolerance,

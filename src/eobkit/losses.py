@@ -18,8 +18,9 @@ real part of the inverse transform applied to the coefficient gradient
 (d/dRe + j*d/dIm), and for orthogonal real transforms it is the inverse
 transform itself.
 
-All functions accept (..., L) arrays and reduce over every element, so a
-batch of series can be evaluated in one call.
+All functions act on the last axis of (..., L) arrays and return values per
+row, with shape x.shape[:-1]; the caller reduces over rows. A batch of
+series, or a stack of finite-difference probes, is evaluated in one call.
 """
 
 from __future__ import annotations
@@ -51,13 +52,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LossEval:
-    """Scalar loss value plus its temporal-domain gradient.
+    """Loss value per row (a float for 1-D input) plus the temporal-domain gradient.
 
     Losses made of several terms (amplitude/phase splits) expose them in
     `parts`; the top-level value and gradient are the sums of the parts.
     """
 
-    value: float
+    value: float | np.ndarray
     grad_wrt_prediction: np.ndarray
     parts: dict[str, "LossEval"] = field(default_factory=dict)
 
@@ -71,7 +72,7 @@ class EmaMagnitudes:
     epoch: int = 0
 
     def __post_init__(self):
-        f_bar = np.asarray(self.f_bar, dtype=float)
+        f_bar = np.array(self.f_bar, dtype=float)
         if np.any(f_bar < 0.0):
             raise ValueError("magnitude estimates must be non-negative")
         if not 0.0 <= self.beta < 1.0:
@@ -176,14 +177,14 @@ def temporal_l2(x: np.ndarray, x_hat: np.ndarray) -> LossEval:
     """Squared error; gradient -2(x - x_hat) scales with the error (dominance)."""
     x, x_hat = _check_lengths(x, x_hat)
     e = x - x_hat
-    return LossEval(value=float(np.sum(e**2)), grad_wrt_prediction=-2.0 * e)
+    return LossEval(value=np.sum(e**2, axis=-1), grad_wrt_prediction=-2.0 * e)
 
 
 def temporal_l1(x: np.ndarray, x_hat: np.ndarray) -> LossEval:
     """Absolute error; gradient -sgn(x - x_hat) has magnitude 1 or 0 (fatigue)."""
     x, x_hat = _check_lengths(x, x_hat)
     e = x - x_hat
-    return LossEval(value=float(np.sum(np.abs(e))), grad_wrt_prediction=-np.sign(e))
+    return LossEval(value=np.sum(np.abs(e), axis=-1), grad_wrt_prediction=-np.sign(e))
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +200,7 @@ def freq_real_imag_l2(x: np.ndarray, x_hat: np.ndarray) -> LossEval:
     """
     x, x_hat = _check_lengths(x, x_hat)
     d = _dft(x) - _dft(x_hat)
-    value = float(np.sum(d.real**2 + d.imag**2))
+    value = np.sum(d.real**2 + d.imag**2, axis=-1)
     return LossEval(value=value, grad_wrt_prediction=_dft_pullback(-2.0 * d))
 
 
@@ -212,7 +213,7 @@ def freq_real_imag_l1(x: np.ndarray, x_hat: np.ndarray) -> LossEval:
     """
     x, x_hat = _check_lengths(x, x_hat)
     d = _dft(x) - _dft(x_hat)
-    value = float(np.sum(np.abs(d.real) + np.abs(d.imag)))
+    value = np.sum(np.abs(d.real) + np.abs(d.imag), axis=-1)
     g = -(np.sign(d.real) + 1j * np.sign(d.imag))
     return LossEval(value=value, grad_wrt_prediction=_dft_pullback(g))
 
@@ -251,10 +252,10 @@ def freq_amp_phase(x: np.ndarray, x_hat: np.ndarray, norm: str = "l2",
     cos_h, sin_h = np.cos(phase_hat), np.sin(phase_hat)
     amp_diff = amp - amp_hat
     if norm == "l2":
-        amp_value = float(np.sum(amp_diff**2))
+        amp_value = np.sum(amp_diff**2, axis=-1)
         de_damp = -2.0 * amp_diff
     else:
-        amp_value = float(np.sum(np.abs(amp_diff)))
+        amp_value = np.sum(np.abs(amp_diff), axis=-1)
         de_damp = -np.sign(amp_diff)
     amp_grad = _dft_pullback(de_damp * (cos_h + 1j * sin_h))
     amp_part = LossEval(value=amp_value, grad_wrt_prediction=amp_grad)
@@ -262,10 +263,10 @@ def freq_amp_phase(x: np.ndarray, x_hat: np.ndarray, norm: str = "l2",
     alive = amp_hat >= eps
     phase_diff = np.where(alive, _wrap_phase(phase - phase_hat), 0.0)
     if norm == "l2":
-        phase_value = float(np.sum(phase_diff**2))
+        phase_value = np.sum(phase_diff**2, axis=-1)
         de_dphase = -2.0 * phase_diff
     else:
-        phase_value = float(np.sum(np.abs(phase_diff)))
+        phase_value = np.sum(np.abs(phase_diff), axis=-1)
         de_dphase = -np.sign(phase_diff)
     inv_amp = np.where(alive, 1.0 / np.where(alive, amp_hat, 1.0), 0.0)
     # d(phase_hat)/d(re, im) = (-sin, cos)/amp_hat
@@ -296,21 +297,21 @@ def freq_error_amp_phase(x: np.ndarray, x_hat: np.ndarray, norm: str = "l2",
     alive = err_amp >= eps
 
     if norm == "l2":
-        amp_value = float(np.sum(err_amp**2))
+        amp_value = np.sum(err_amp**2, axis=-1)
         # identical to the temporal squared error; gradient -2(x - x_hat)
         amp_grad = -_dft_pullback(2.0 * fe)
     else:
-        amp_value = float(np.sum(err_amp))
+        amp_value = np.sum(err_amp, axis=-1)
         unit = np.where(alive, np.exp(1j * err_phase), 0.0)
         amp_grad = -_dft_pullback(unit)
     amp_part = LossEval(value=amp_value, grad_wrt_prediction=amp_grad)
 
     phase_term = np.where(alive, err_phase, 0.0)
     if norm == "l2":
-        phase_value = float(np.sum(phase_term**2))
+        phase_value = np.sum(phase_term**2, axis=-1)
         de_dphase = 2.0 * phase_term
     else:
-        phase_value = float(np.sum(np.abs(phase_term)))
+        phase_value = np.sum(np.abs(phase_term), axis=-1)
         de_dphase = np.sign(phase_term)
     inv_amp2 = np.where(alive, 1.0 / np.where(alive, err_amp**2, 1.0), 0.0)
     # d(err_phase)/d(fe) = (-Im fe, Re fe)/|fe|^2 and d(fe)/d(x_hat) = -U
@@ -339,17 +340,17 @@ def _weighted_coeff_loss(x: np.ndarray, x_hat: np.ndarray, weights: np.ndarray,
     d = f - f_hat
     if np.iscomplexobj(d):
         if norm == "l2":
-            value = float(np.sum(weights * (d.real**2 + d.imag**2)))
+            value = np.sum(weights * (d.real**2 + d.imag**2), axis=-1)
             g = -2.0 * weights * d
         else:
-            value = float(np.sum(weights * (np.abs(d.real) + np.abs(d.imag))))
+            value = np.sum(weights * (np.abs(d.real) + np.abs(d.imag)), axis=-1)
             g = -weights * (np.sign(d.real) + 1j * np.sign(d.imag))
     else:
         if norm == "l2":
-            value = float(np.sum(weights * d**2))
+            value = np.sum(weights * d**2, axis=-1)
             g = -2.0 * weights * d
         else:
-            value = float(np.sum(weights * np.abs(d)))
+            value = np.sum(weights * np.abs(d), axis=-1)
             g = -weights * np.sign(d)
     return LossEval(value=value, grad_wrt_prediction=_pullback(g, cfg))
 

@@ -67,7 +67,7 @@ class YuleWalkerSolution:
     ssnr: float
 
     def __post_init__(self):
-        rho = np.asarray(self.rho, dtype=float)
+        rho = np.array(self.rho, dtype=float)
         rho.flags.writeable = False
         object.__setattr__(self, "rho", rho)
 

@@ -47,8 +47,8 @@ class Spectrum:
     im: np.ndarray
 
     def __post_init__(self):
-        re = np.asarray(self.re, dtype=float)
-        im = np.asarray(self.im, dtype=float)
+        re = np.array(self.re, dtype=float)
+        im = np.array(self.im, dtype=float)
         if re.ndim != 1 or re.shape != im.shape:
             raise ValueError(f"re and im must be 1-d and equal length, got {re.shape} vs {im.shape}")
         re.flags.writeable = False
@@ -66,7 +66,7 @@ class Spectrum:
     @classmethod
     def from_complex(cls, values: np.ndarray) -> "Spectrum":
         values = np.asarray(values, dtype=complex)
-        return cls(re=values.real.copy(), im=values.imag.copy())
+        return cls(re=values.real, im=values.imag)
 
     def energy(self) -> float:
         return float(np.sum(self.re**2 + self.im**2))
@@ -80,8 +80,8 @@ class AmpPhase:
     phase: np.ndarray
 
     def __post_init__(self):
-        amp = np.asarray(self.amp, dtype=float)
-        phase = np.asarray(self.phase, dtype=float)
+        amp = np.array(self.amp, dtype=float)
+        phase = np.array(self.phase, dtype=float)
         if amp.shape != phase.shape or amp.ndim != 1:
             raise ValueError("amp and phase must be 1-d and equal length")
         if np.any(amp < 0.0):
@@ -179,7 +179,7 @@ class WaveletCoeffs:
     wavelet: str
 
     def __post_init__(self):
-        coeffs = np.asarray(self.coeffs, dtype=float)
+        coeffs = np.array(self.coeffs, dtype=float)
         coeffs.flags.writeable = False
         object.__setattr__(self, "coeffs", coeffs)
         if self.levels < 1:
@@ -316,7 +316,7 @@ def compress_truncate(f: Spectrum, keep: int) -> Compressed:
     if keep > f.length:
         raise ValueError(f"keep={keep} exceeds spectrum length {f.length}")
     total = f.energy()
-    kept = Spectrum(re=f.re[:keep].copy(), im=f.im[:keep].copy())
+    kept = Spectrum(re=f.re[:keep], im=f.im[:keep])
     return Compressed(spectrum=kept, original_length=f.length,
                       discarded_energy=total - kept.energy(), total_energy=total)
 

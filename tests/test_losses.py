@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eobkit import gradcheck
 from eobkit.losses import (EmaMagnitudes, HarmonizedConfig, freq_amp_phase,
@@ -250,3 +252,48 @@ class TestGradients:
         reports = gradcheck.run_gradient_suite(lengths=(8, 32), instances=6, seed=3,
                                                names=(case.name,))
         assert reports[0].passed, f"{case.name}: {reports[0].max_rel_err:.3e}"
+
+
+class TestBatchContract:
+    """A (B, L) call is B 1-D calls: per-row values, per-row gradients."""
+
+    @staticmethod
+    def assert_rows_match(batched, rows):
+        ref = np.asarray(rows)
+        assert np.shape(batched) == ref.shape
+        assert gradcheck.relative_error(batched, ref) <= 1e-12
+
+    @pytest.mark.parametrize("case", gradcheck.LOSS_CASES, ids=lambda c: c.name)
+    @given(B=st.integers(1, 5), L=st.sampled_from([8, 16, 32]),
+           seed=st.integers(0, 2**31 - 1))
+    @settings(max_examples=10, deadline=None)
+    def test_rows_equal_single_calls(self, case, B, L, seed):
+        rng = np.random.default_rng(seed)
+        pairs = [case.make_pair(rng, L) for _ in range(B)]
+        loss = case.make_loss(rng, L)
+        X = np.stack([p[0] for p in pairs])
+        X_hat = np.stack([p[1] for p in pairs])
+        ev = loss(X, X_hat)
+        singles = [loss(x, x_hat) for x, x_hat in pairs]
+        self.assert_rows_match(ev.value, [s.value for s in singles])
+        self.assert_rows_match(ev.grad_wrt_prediction,
+                               [s.grad_wrt_prediction for s in singles])
+        assert ev.parts.keys() == singles[0].parts.keys()
+        for name, part in ev.parts.items():
+            self.assert_rows_match(part.value, [s.parts[name].value for s in singles])
+            self.assert_rows_match(part.grad_wrt_prediction,
+                                   [s.parts[name].grad_wrt_prediction for s in singles])
+
+    def test_single_series_value_is_a_float(self, rng):
+        x, x_hat = rng.normal(size=8), rng.normal(size=8)
+        assert isinstance(temporal_l2(x, x_hat).value, float)
+        assert temporal_l2(x[None], x_hat[None]).value.shape == (1,)
+
+
+def test_ema_keeps_caller_array_writable():
+    f_bar = np.ones(4)
+    ema = EmaMagnitudes(f_bar=f_bar, beta=0.3)
+    f_bar[0] = 2.0
+    assert ema.f_bar[0] == 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        ema.f_bar[0] = 3.0

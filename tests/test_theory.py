@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import random_stationary_spec
 from eobkit.processes import ARSpec, Gaussian
-from eobkit.theory import (CorrMatrix, NotPositiveDefiniteError,
+from eobkit.theory import (CorrMatrix, NotPositiveDefiniteError, YuleWalkerSolution,
                            corr_matrix_from_ar, eob_ar_closed_form, eob_gmm_lower_bound,
                            eob_mgm, mixture_entropy, snr_to_ssnr, solve_yule_walker,
                            ssnr_to_snr, szego_convergence_curve,
@@ -50,6 +50,14 @@ class TestYuleWalker:
                 yw = solve_yule_walker(random_stationary_spec(rng, p))
                 assert yw.ssnr >= 1.0
                 assert np.all(np.abs(yw.rho) <= 1.0 + 1e-9)
+
+    def test_keeps_caller_array_writable(self):
+        rho = np.array([0.5, 0.2])
+        yw = YuleWalkerSolution(rho=rho, sigma_z2=1.0, ssnr=2.0)
+        rho[0] = 0.9
+        assert yw.rho[0] == 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            yw.rho[0] = 0.1
 
 
 class TestCorrMatrix:

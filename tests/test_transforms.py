@@ -11,6 +11,22 @@ from eobkit.transforms import (AmpPhase, Spectrum, WaveletCoeffs, compress_trunc
                                to_amp_phase)
 
 
+@pytest.mark.parametrize("make, fields", [
+    (lambda a, b: Spectrum(re=a, im=b), ("re", "im")),
+    (lambda a, b: AmpPhase(amp=a, phase=b), ("amp", "phase")),
+    (lambda a, b: WaveletCoeffs(a, 1, "haar"), ("coeffs",)),
+], ids=["Spectrum", "AmpPhase", "WaveletCoeffs"])
+def test_constructor_keeps_caller_array_writable(make, fields):
+    a, b = np.zeros(8), np.zeros(8)
+    stored = make(a, b)
+    a[0] = b[0] = 1.0
+    for name in fields:
+        field = getattr(stored, name)
+        assert field[0] == 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            field[0] = 2.0
+
+
 class TestDft:
     def test_impulse(self):
         spec = dft_forward(np.array([1.0, 0.0, 0.0, 0.0]))
