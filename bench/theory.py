@@ -1,0 +1,94 @@
+"""Layer benchmark for the theory module: time against window length T.
+
+    python bench/theory.py                                  # this checkout, run "head"
+    python bench/theory.py --src ../other/src --label parent
+
+Times, for an AR(1) with phi = 0.9, at T = 16, 128, 512 and 2048:
+
+* `corr_matrix_from_ar(spec, T)`: autocorrelations, Toeplitz build, validation;
+* `eob_mgm(R)` on a matrix built beforehand: the determinant form;
+* `eob_ar_closed_form(spec, T)`: the autoregressive closed form;
+* `szego_convergence_curve(spec, [T])`: one point of the Szegő curve.
+
+Each figure is the median of five calls, after one untimed warm-up call.
+The run, with its environment block (cores, BLAS thread variables, numpy,
+scipy and BLAS versions), is stored under `runs[<label>]` in
+`BENCH_theory.json` at the checkout root; other labels in that file are
+kept, so runs of two versions of the package sit side by side.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import sys
+import time
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(HERE)
+OUT = os.path.join(ROOT, "BENCH_theory.json")
+SWEEP = (16, 128, 512, 2048)
+PHI = 0.9
+REPEATS = 5
+
+
+def median_seconds(fn) -> float:
+    fn()
+    times = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--src", default=os.path.join(ROOT, "src"),
+                        help="directory holding the eobkit package to time")
+    parser.add_argument("--label", default="head", help="key of this run in the output file")
+    args = parser.parse_args(argv)
+
+    sys.path.insert(0, os.path.abspath(args.src))
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    from worker import environment
+
+    from eobkit import theory
+    from eobkit.processes import ARSpec, Gaussian
+
+    spec = ARSpec(c=0.0, phi=(PHI,), innovation=Gaussian(0.0, 0.5), sigma_eps2=0.25)
+    median_s: dict[str, dict[str, float]] = {}
+    for T in SWEEP:
+        R = theory.corr_matrix_from_ar(spec, T)
+        timed = {
+            "corr_matrix_from_ar": lambda: theory.corr_matrix_from_ar(spec, T),
+            "eob_mgm": lambda: theory.eob_mgm(R),
+            "eob_ar_closed_form": lambda: theory.eob_ar_closed_form(spec, T),
+            "szego_convergence_curve": lambda: theory.szego_convergence_curve(spec, [T]),
+        }
+        for name, fn in timed.items():
+            median_s.setdefault(name, {})[str(T)] = median_seconds(fn)
+            print(f"{name:24s} T={T:5d} {median_s[name][str(T)]:.6f} s", flush=True)
+
+    try:
+        with open(OUT, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except FileNotFoundError:
+        doc = {}
+    doc["spec"] = {"phi": [PHI], "sigma_eps2": 0.25}
+    doc["sweep"] = list(SWEEP)
+    doc["statistic"] = f"median of {REPEATS} calls after one warm-up, seconds"
+    doc.setdefault("runs", {})[args.label] = {"environment": environment(),
+                                              "median_s": median_s}
+    with open(OUT, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+    print(f"wrote runs[{args.label!r}] to {OUT}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -21,10 +21,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg, stats
+from scipy import stats
 
 from .processes import ARSpec
-from .theory import CorrMatrix, solve_yule_walker
+from .theory import CorrMatrix, _toeplitz, solve_yule_walker
 
 __all__ = [
     "OrthoReport",
@@ -260,7 +260,7 @@ def estimate_ssnr(series: np.ndarray, order: int = 1) -> float:
     if gamma[0] <= 0.0:
         raise ValueError("series has zero variance")
     rho = gamma / gamma[0]
-    phi_hat = np.linalg.solve(linalg.toeplitz(rho[:order]), rho[1:order + 1])
+    phi_hat = np.linalg.solve(_toeplitz(rho[:order]), rho[1:order + 1])
     denom = 1.0 - float(np.dot(phi_hat, rho[1:order + 1]))
     if denom <= 0.0:
         raise ValueError("sample autocorrelations imply a non-stationary fit; "

@@ -15,15 +15,17 @@ has two equivalent closed forms:
 The two agree exactly through the determinant decomposition
 det(R) = det(R_p) * SSNR^{-(T-p)}, and det(R)^{1/T} -> 1/SSNR as T grows
 (Szegő limit). All logarithms are natural, so values are in nats.
+
+`eob_mgm` and `verify_determinant_decomposition` read log det(R) from the dense Cholesky
+factor that validates a `CorrMatrix`; `szego_convergence_curve` runs Durbin, no matrix.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg
 
 from .processes import ARSpec
 
@@ -77,24 +79,30 @@ class CorrMatrix:
     """Symmetric PSD matrix with unit diagonal, immutable after construction."""
 
     values: np.ndarray
+    _chol: np.ndarray | None = field(init=False, repr=False, compare=False, default=None)
 
-    # diagonal must be exactly 1; PSD up to -1e-10 * dim
+    # diagonal must be exactly 1; PSD up to -1e-10 * dim (eigvalsh only when Cholesky fails)
     def __post_init__(self):
         values = np.array(self.values, dtype=float)
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise ValueError(f"correlation matrix must be square, got shape {values.shape}")
         if values.shape[0] == 0:
             raise ValueError("correlation matrix must have dim >= 1")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("correlation matrix entries must be finite (found nan or inf)")
         if not np.array_equal(np.diag(values), np.ones(values.shape[0])):
             raise ValueError("correlation matrix diagonal must be exactly 1")
-        if not np.allclose(values, values.T, rtol=0.0, atol=1e-12):
+        if np.max(np.abs(values - values.T)) > 1e-12:
             raise ValueError("correlation matrix must be symmetric")
         values = 0.5 * (values + values.T)
         np.fill_diagonal(values, 1.0)
-        min_eig = float(np.linalg.eigvalsh(values)[0])
-        if min_eig < -1e-10 * values.shape[0]:
-            raise NotPositiveDefiniteError(min_eig)
         values.flags.writeable = False
+        try:
+            object.__setattr__(self, "_chol", np.linalg.cholesky(values))
+        except np.linalg.LinAlgError:
+            min_eig = float(np.linalg.eigvalsh(values)[0])
+            if min_eig < -1e-10 * values.shape[0]:
+                raise NotPositiveDefiniteError(min_eig) from None
         object.__setattr__(self, "values", values)
 
     @property
@@ -106,12 +114,10 @@ class CorrMatrix:
         return cls(np.eye(dim))
 
     def log_det(self) -> float:
-        """log det via Cholesky; rejects non-PD input with a diagnostic."""
-        try:
-            chol = np.linalg.cholesky(self.values)
-        except np.linalg.LinAlgError:
-            raise NotPositiveDefiniteError(float(np.linalg.eigvalsh(self.values)[0])) from None
-        return 2.0 * float(np.sum(np.log(np.diag(chol))))
+        """log det from the Cholesky factor; rejects a singular matrix with a diagnostic."""
+        if self._chol is None:
+            raise NotPositiveDefiniteError(float(np.linalg.eigvalsh(self.values)[0]))
+        return 2.0 * float(np.sum(np.log(np.diag(self._chol))))
 
 
 @dataclass(frozen=True)
@@ -197,7 +203,12 @@ def corr_matrix_from_ar(spec: ARSpec, T: int) -> CorrMatrix:
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
     rho = autocorrelations(spec, T - 1)
-    return CorrMatrix(linalg.toeplitz(rho))
+    return CorrMatrix(_toeplitz(rho))
+
+
+def _toeplitz(rho: np.ndarray) -> np.ndarray:
+    """Symmetric Toeplitz matrix R_ij = rho_{|i-j|}."""
+    return rho[np.abs(np.subtract.outer(np.arange(rho.size), np.arange(rho.size)))]
 
 
 # ---------------------------------------------------------------------------
@@ -252,13 +263,22 @@ def verify_determinant_decomposition(spec: ARSpec, T: int) -> float:
 
 
 def szego_convergence_curve(spec: ARSpec, T_values) -> list[tuple[int, float]]:
-    """(T, det(R)^{1/T}) pairs; the geometric mean tends to 1/SSNR."""
-    out = []
-    for T in T_values:
-        T = int(T)
-        log_det = corr_matrix_from_ar(spec, T).log_det()
-        out.append((T, math.exp(log_det / T)))
-    return out
+    """(T, det(R)^{1/T}) pairs, tending to 1/SSNR. One O(T_max^2) Durbin pass, no matrix,
+    gives log det(R_T) = sum_{k<T} log v_k, v_k the order-k prediction variance."""
+    T_values = [int(T) for T in T_values]
+    if min(T_values, default=1) < 1:
+        raise ValueError(f"T must be >= 1, got {min(T_values)}")
+    rho = autocorrelations(spec, max(T_values, default=1) - 1)
+    log_v, a, v = np.zeros(rho.size), np.empty(0), 1.0
+    for k in range(1, rho.size):
+        kappa = (rho[k] - float(a @ rho[k - 1:0:-1])) / v  # reflection coefficient
+        if not abs(kappa) < 1.0:  # R_{k+1} is not positive definite
+            raise NotPositiveDefiniteError(float(np.linalg.eigvalsh(_toeplitz(rho[:k + 1]))[0]))
+        a = np.concatenate([a - kappa * a[::-1], [kappa]])
+        v *= 1.0 - kappa * kappa
+        log_v[k] = math.log(v)
+    log_dets = np.cumsum(log_v)
+    return [(T, math.exp(log_dets[T - 1] / T)) for T in T_values]
 
 
 def eob_gmm_lower_bound(weights, component_eobs) -> float:

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import linalg
 
 from conftest import random_stationary_spec
+from eobkit import theory
 from eobkit.processes import ARSpec, Gaussian
 from eobkit.theory import (CorrMatrix, NotPositiveDefiniteError, YuleWalkerSolution,
-                           corr_matrix_from_ar, eob_ar_closed_form, eob_gmm_lower_bound,
-                           eob_mgm, mixture_entropy, snr_to_ssnr, solve_yule_walker,
-                           ssnr_to_snr, szego_convergence_curve,
+                           autocorrelations, corr_matrix_from_ar, eob_ar_closed_form,
+                           eob_gmm_lower_bound, eob_mgm, mixture_entropy, snr_to_ssnr,
+                           solve_yule_walker, ssnr_to_snr, szego_convergence_curve,
                            verify_determinant_decomposition)
 
 
@@ -82,6 +84,29 @@ class TestCorrMatrix:
         with pytest.raises(NotPositiveDefiniteError) as err:
             CorrMatrix(np.array([[1.0, 0.8, -0.8], [0.8, 1.0, 0.8], [-0.8, 0.8, 1.0]]))
         assert err.value.min_eigenvalue < -1e-10
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            CorrMatrix(np.array([[1.0, bad], [bad, 1.0]]))
+        with pytest.raises(ValueError, match="finite"):
+            CorrMatrix(np.array([[1.0, 0.2, bad], [0.2, 1.0, 0.3], [0.4, 0.3, 1.0]]))
+
+    def test_toeplitz_helper_matches_scipy(self, rng):
+        for n in (1, 2, 7, 64):
+            rho = np.concatenate([[1.0], rng.uniform(-1.0, 1.0, size=n - 1)])
+            np.testing.assert_array_equal(theory._toeplitz(rho), linalg.toeplitz(rho))
+
+    def test_positive_definite_matrix_is_factored_once(self, monkeypatch):
+        calls = {"cholesky": 0, "eigvalsh": 0}
+        for name in calls:
+            def counted(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        R = CorrMatrix(np.array([[1.0, 0.5, 0.25], [0.5, 1.0, 0.5], [0.25, 0.5, 1.0]]))
+        assert R.log_det() == pytest.approx(math.log(0.5625), rel=1e-12)
+        assert calls == {"cholesky": 1, "eigvalsh": 0}
 
     def test_det_in_unit_interval(self, rng):
         for p in (1, 2, 3):
@@ -160,8 +185,9 @@ class TestMgm:
 
     def test_non_pd_rejected(self):
         ones = CorrMatrix(np.ones((3, 3)))  # PSD but singular
-        with pytest.raises(NotPositiveDefiniteError):
+        with pytest.raises(NotPositiveDefiniteError) as err:
             ones.log_det()
+        assert err.value.min_eigenvalue == float(np.linalg.eigvalsh(np.ones((3, 3)))[0])
 
 
 class TestDeterminantDecomposition:
@@ -189,6 +215,41 @@ class TestSzego:
         values = [v for _, v in curve]
         assert all(b < a for a, b in zip(values, values[1:]))
         assert values[-1] > 0.19  # approaches 1/SSNR = 1 - 0.81 from above
+
+    @given(p=st.integers(min_value=0, max_value=4), T=st.integers(min_value=1, max_value=256),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(deadline=None, max_examples=40)
+    def test_durbin_prefixes_match_dense_slogdet(self, p, T, seed):
+        spec = random_stationary_spec(np.random.default_rng(seed), p)
+        prefixes = sorted(set(range(1, T + 1, max(1, T // 16))) | {T})
+        R = linalg.toeplitz(autocorrelations(spec, T - 1))
+        for t, value in szego_convergence_curve(spec, prefixes):
+            sign, ref = np.linalg.slogdet(R[:t, :t])
+            assert sign > 0
+            assert abs(t * math.log(value) - ref) <= 1e-10 * max(1.0, abs(ref))
+
+    def test_each_point_matches_its_own_dense_cholesky(self, rng):
+        T_values = [1, 2, 5, 33, 100]
+        for p in (1, 2, 3, 4):
+            spec = random_stationary_spec(rng, p)
+            for T, value in szego_convergence_curve(spec, T_values):
+                dense = corr_matrix_from_ar(spec, T).log_det()
+                assert T * math.log(value) == pytest.approx(dense, rel=1e-10, abs=1e-10)
+
+    def test_non_pd_autocorrelations_raise_with_min_eigenvalue(self, monkeypatch):
+        rho = np.array([1.0, 0.8, -0.8])
+        monkeypatch.setattr(theory, "autocorrelations", lambda spec, max_lag: rho)
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            szego_convergence_curve(ar([0.5]), [3])
+        expected = float(np.linalg.eigvalsh(linalg.toeplitz(rho))[0])
+        assert expected < 0.0
+        assert err.value.min_eigenvalue == pytest.approx(expected, rel=1e-12)
+
+    def test_window_lengths(self):
+        assert szego_convergence_curve(ar([0.5]), []) == []
+        assert szego_convergence_curve(ar([0.5]), [1]) == [(1, 1.0)]
+        with pytest.raises(ValueError, match="T must be >= 1"):
+            szego_convergence_curve(ar([0.5]), [4, 0])
 
 
 class TestGmmBound:
