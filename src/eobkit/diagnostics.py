@@ -21,9 +21,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
-from .processes import ARSpec
+from .processes import ARSpec, psi_weights
 from .theory import CorrMatrix, _toeplitz, solve_yule_walker
 
 __all__ = [
@@ -134,6 +133,26 @@ def ode_ratio(R: CorrMatrix) -> float:
     return off / total
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """Ranks 1..n down each column of an (n, L) array; tied values share their mean rank."""
+    n = x.shape[0]
+    order = np.argsort(x, axis=0, kind="stable")
+    srt = np.take_along_axis(x, order, axis=0)
+    pos = np.broadcast_to(np.arange(n, dtype=float)[:, None], x.shape)
+    tie = srt[1:] == srt[:-1]
+    if tie.any():  # a tied run of positions first..last gets (first + last) / 2
+        starts = np.ones(x.shape, dtype=bool)
+        starts[1:] = ~tie
+        ends = np.ones(x.shape, dtype=bool)
+        ends[:-1] = ~tie
+        first = np.maximum.accumulate(np.where(starts, pos, 0.0), axis=0)
+        last = np.minimum.accumulate(np.where(ends, pos, n)[::-1], axis=0)[::-1]
+        pos = 0.5 * (first + last)
+    ranks = np.empty(x.shape)
+    np.put_along_axis(ranks, order, pos + 1.0, axis=0)
+    return ranks
+
+
 def spearman_mean(windows: np.ndarray) -> float:
     """Mean absolute Spearman rank correlation over ordered pairs i != j.
 
@@ -147,10 +166,10 @@ def spearman_mean(windows: np.ndarray) -> float:
         raise ValueError("need at least 2 coordinates to form pairs")
     if n < 3:
         raise ValueError(f"need at least 3 samples for rank correlation, got {n}")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("windows must be finite to be ranked (found nan or inf)")
     with np.errstate(invalid="ignore", divide="ignore"):
-        rho, _ = stats.spearmanr(w)
-    if np.isscalar(rho) or np.ndim(rho) == 0:  # scipy returns a scalar for L = 2
-        rho = np.array([[1.0, float(rho)], [float(rho), 1.0]])
+        rho = np.corrcoef(_average_ranks(w), rowvar=False)
     rho = np.nan_to_num(rho, nan=0.0)  # constant columns carry no rank signal
     abs_sum = float(np.sum(np.abs(rho))) - float(np.sum(np.abs(np.diag(rho))))
     return abs_sum / (L**2 - L)
@@ -191,19 +210,6 @@ def orthogonality_report(windows: np.ndarray) -> OrthoReport:
 # ---------------------------------------------------------------------------
 # Optimal forecast-error baselines
 # ---------------------------------------------------------------------------
-
-def psi_weights(spec: ARSpec, count: int) -> np.ndarray:
-    """First `count` moving-average weights: psi_0 = 1, psi_j = sum phi_i psi_{j-i}."""
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    psi = np.zeros(count)
-    psi[0] = 1.0
-    phi = np.asarray(spec.phi)
-    for j in range(1, count):
-        m = min(j, spec.p)
-        psi[j] = float(np.dot(phi[:m], psi[j - m:j][::-1]))
-    return psi
-
 
 def optimal_mse_baseline(spec: ARSpec, horizon: int, mode: str = "asymptotic",
                          per_point: bool = True) -> float:

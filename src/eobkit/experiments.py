@@ -20,10 +20,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import stats
 
 from . import losses
-from .diagnostics import SurfacePoint, sliding_windows
+from .diagnostics import SurfacePoint, _average_ranks, sliding_windows
 from .processes import (ARSpec, DeterministicSpec, HybridSpec, make_rng,
                         synthesize_deterministic, synthesize_hybrid)
 from .theory import solve_yule_walker
@@ -569,7 +568,8 @@ def paradox_trend_test(points: list[SurfacePoint]) -> list[TrendStats]:
         if len(set(eta_values)) == 1:
             corr = 0.0  # constant series carries no trend
         else:
-            corr = float(stats.spearmanr(levels, eta_values).statistic)
+            ranks = _average_ranks(np.column_stack([levels, eta_values]))
+            corr = float(np.corrcoef(ranks, rowvar=False)[0, 1])
         violations = sum(1 for a, b in zip(levels, levels[1:]) if rel[b] > rel[a])
         out.append(TrendStats(horizon=horizon, n_levels=len(levels),
                               spearman_ssnr_eta=corr, mse_rel_violations=violations,

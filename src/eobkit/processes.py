@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy import signal
 
 
 class NonStationaryError(ValueError):
@@ -243,16 +242,20 @@ def sample_innovation(dist: InnovationDist, n: int, seed: SeedLike) -> np.ndarra
 # Process specifications
 # ---------------------------------------------------------------------------
 
-def companion_spectral_radius(phi: tuple[float, ...]) -> float:
-    """Spectral radius of the AR companion matrix (< 1 iff stationary)."""
+def _companion(phi: tuple[float, ...]) -> np.ndarray:
+    """Companion matrix C: (z_t, ..., z_{t-p+1}) = C (z_{t-1}, ..., z_{t-p}) without input."""
     p = len(phi)
-    if p == 0:
-        return 0.0
     comp = np.zeros((p, p))
     comp[0, :] = phi
-    if p > 1:
-        comp[1:, :-1] = np.eye(p - 1)
-    return float(np.max(np.abs(np.linalg.eigvals(comp))))
+    comp[1:, :-1] = np.eye(p - 1)
+    return comp
+
+
+def companion_spectral_radius(phi: tuple[float, ...]) -> float:
+    """Spectral radius of the AR companion matrix (< 1 iff stationary)."""
+    if len(phi) == 0:
+        return 0.0
+    return float(np.max(np.abs(np.linalg.eigvals(_companion(phi)))))
 
 
 @dataclass(frozen=True)
@@ -386,12 +389,74 @@ def default_burn_in(p: int) -> int:
     return 10 * p + 100
 
 
+def psi_weights(spec: ARSpec, count: int) -> np.ndarray:
+    """First `count` moving-average weights: psi_0 = 1, psi_j = sum phi_i psi_{j-i}."""
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    psi = np.zeros(count)
+    psi[0] = 1.0
+    phi = np.asarray(spec.phi)
+    for j in range(1, count):
+        m = min(j, spec.p)
+        psi[j] = float(np.dot(phi[:m], psi[j - m:j][::-1]))
+    return psi
+
+
+# Samples per block of the AR recursion: at least _AR_BLOCK, so that the carry
+# between blocks is a short scan, and at most _AR_BLOCK_MAX, so that the
+# B x B product stays cheap.
+_AR_BLOCK, _AR_BLOCK_MAX = 64, 2048
+
+
+def _ar_recursion(spec: ARSpec, eps: np.ndarray) -> np.ndarray:
+    """z_t = sum_i phi_i z_{t-i} + eps_t from a zero state, run in blocks of B samples.
+
+    Within block b the output is Psi @ e_b + H @ s_b: the zero-state response
+    (Psi the lower-triangular Toeplitz matrix of psi-weights) plus the
+    response to the block's state s_b = (z_{t0-1}, ..., z_{t0-p}). The states
+    obey s_{b+1} = M s_b + c_b, with M = C^B (C the companion matrix) and c_b
+    the last p entries of Psi @ e_b in reverse; a doubling scan over blocks
+    solves that recurrence in log2(blocks) small products. One product of
+    the rows [e_b | s_b] with [Psi^T; H^T] then gives every block's output.
+
+    Rounding in the carry grows with ||M||, which exceeds 1 when C is far
+    from normal (nearly repeated roots close to the unit circle), so B
+    doubles until ||C^B|| <= 1 or one block spans the series, up to
+    _AR_BLOCK_MAX.
+    """
+    p, n = spec.p, eps.shape[0]
+    B = max(_AR_BLOCK, p)
+    power = np.linalg.matrix_power(_companion(spec.phi), B)
+    while B < min(n, _AR_BLOCK_MAX) and np.linalg.norm(power, np.inf) > 1.0:
+        B, power = 2 * B, power @ power
+    nb, full = -(-n // B), n // B
+    rows = np.zeros((nb, B + p))  # [e_b | s_b], zero-padded after the last sample
+    rows[:full, :B] = eps[:full * B].reshape(full, B)
+    rows[full:, :n - full * B] = eps[full * B:]
+    # W[s, t] = psi_{t-s} (zero for s > t): row b of e @ W is (Psi @ e_b)^T
+    psi = np.concatenate([np.zeros(B - 1), psi_weights(spec, B)])
+    W = np.lib.stride_tricks.sliding_window_view(psi, B)[::-1]
+    # H[t, i] = sum_j psi_{t-j} phi_{i+j+1}: response at t to z_{t0-1-i}
+    k = np.arange(p)[:, None] + np.arange(p)[None, :]
+    phi = np.asarray(spec.phi)
+    H = W[:p].T @ np.where(k < p, phi[np.minimum(k, p - 1)], 0.0)
+    X = rows[:, :B] @ W[:, :-p - 1:-1]  # c_b as rows; after the scan row b holds s_{b+1}
+    step = H[:-p - 1:-1].T  # M^T, squared at each doubling
+    d = 1
+    while d < nb:
+        X[d:] += X[:-d] @ step
+        step = step @ step
+        d *= 2
+    rows[1:, B:] = X[:-1]
+    return (rows @ np.vstack([W, H.T])).ravel()[:n]
+
+
 def simulate_ar(spec: ARSpec, n: int, burn_in: int | None = None,
                 seed: SeedLike = 0) -> np.ndarray:
     """Simulate n samples of the AR process after discarding burn_in.
 
-    The centered recursion is run as an IIR filter initialized at zero
-    (the process mean), then shifted by c/(1 - sum phi).
+    The centered recursion starts from zero (the process mean) and is run
+    by `_ar_recursion`; the result is then shifted by c/(1 - sum phi).
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -402,11 +467,7 @@ def simulate_ar(spec: ARSpec, n: int, burn_in: int | None = None,
     if n == 0:
         return np.empty(0, dtype=float)
     eps = sample_innovation(spec.innovation, n + burn_in, seed)
-    if spec.p == 0:
-        z = eps
-    else:
-        a = np.concatenate(([1.0], -np.asarray(spec.phi)))
-        z = signal.lfilter([1.0], a, eps)
+    z = _ar_recursion(spec, eps) if spec.p else eps
     return spec.mean + z[burn_in:]
 
 

@@ -105,6 +105,11 @@ class CorrMatrix:
                 raise NotPositiveDefiniteError(min_eig) from None
         object.__setattr__(self, "values", values)
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CorrMatrix):
+            return NotImplemented
+        return bool(np.array_equal(self.values, other.values))
+
     @property
     def dim(self) -> int:
         return self.values.shape[0]

@@ -1,12 +1,16 @@
+import dataclasses
 import json
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import eobkit
 from eobkit.cli import main
+from test_experiments import tiny_grid
 
 
 def run_cli(*argv) -> int:
@@ -236,3 +240,40 @@ def test_console_entry_point():
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["value_nats"] == pytest.approx(-0.5 * math.log(0.5625), rel=1e-10)
+
+
+def run_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run `python -c code` against this checkout's eobkit, in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(eobkit.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          env=env)
+
+
+class TestNumpyOnlyRuntime:
+    def test_cli_import_loads_no_scipy(self):
+        proc = run_python("import sys, eobkit.cli\n"
+                          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_subcommands_run_with_scipy_blocked(self, process_spec_file, tmp_path):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({
+            "schema_version": 1, "grid": dataclasses.asdict(tiny_grid()),
+            "train": {"max_epochs": 5, "patience": 5, "check_gradients": False},
+            "loss": {"kind": "temporal", "norm": "l2"}}))
+        series, surface = str(tmp_path / "series.csv"), str(tmp_path / "surface.csv")
+        argvs = [["eob", "--phi", "0.9", "--T", "1000"],
+                 ["generate", "--spec", process_spec_file, "--seed", "1", "--out", series],
+                 ["diagnose", "--input", series, "--window", "8"],
+                 ["loss-check", "--instances", "14"],
+                 ["simulate", "--grid", str(grid), "--out", surface, "--jobs", "1"]]
+        proc = run_python("import json, sys\n"
+                          "sys.modules['scipy'] = None  # any scipy import now fails\n"
+                          "from eobkit.cli import main\n"
+                          "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+                          "print(json.dumps(codes))", json.dumps(argvs))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.strip().splitlines()[-1]) == [0] * len(argvs), proc.stderr

@@ -1,9 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
-from eobkit.diagnostics import (ZeroVarianceWarning, dist_identity, eigen_entropy,
+from eobkit.diagnostics import (ZeroVarianceWarning, _average_ranks, dist_identity,
+                                eigen_entropy,
                                 estimate_ssnr, inefficiency_ratio, ode_ratio,
                                 optimal_mse_baseline, orthogonality_report, psi_weights,
                                 sample_correlation, sliding_windows, spearman_mean)
@@ -92,6 +97,48 @@ class TestSpearman:
     def test_single_column_rejected(self, rng):
         with pytest.raises(ValueError, match="pairs|coordinates"):
             spearman_mean(rng.normal(size=(50, 1)))
+
+    @pytest.mark.parametrize("n, L, levels", [(200, 5, None), (300, 6, 3), (40, 2, 2),
+                                              (40, 2, None), (25, 4, 2)])
+    def test_matches_scipy_spearmanr(self, rng, n, L, levels):
+        # levels=None draws continuous values; otherwise `levels` integer values per cell
+        w = rng.normal(size=(n, L)) if levels is None else rng.integers(0, levels, (n, L))
+        w = w.astype(float)
+        if L >= 4:
+            w[:, -1] = 7.0  # a constant column
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # scipy warns on constant columns
+            rho = stats.spearmanr(w).statistic
+        if np.ndim(rho) == 0:  # scipy returns a scalar for two columns
+            rho = np.array([[1.0, rho], [rho, 1.0]])
+        expected = np.mean(np.abs(np.nan_to_num(rho, nan=0.0))[~np.eye(L, dtype=bool)])
+        assert spearman_mean(w) == pytest.approx(expected, rel=1e-13, abs=1e-15)
+
+    def test_non_finite_rejected(self, rng):
+        w = rng.normal(size=(50, 4))
+        w[3, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            spearman_mean(w)
+
+    def test_constant_columns_carry_no_rank_signal(self):
+        assert spearman_mean(np.ones((10, 3))) == 0.0
+
+
+class TestAverageRanks:
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 60), L=st.integers(1, 5), levels=st.integers(1, 6),
+           seed=st.integers(0, 2**16))
+    def test_equals_rankdata_under_ties(self, n, L, levels, seed):
+        x = np.random.default_rng(seed).integers(0, levels, (n, L)).astype(float)
+        assert np.array_equal(_average_ranks(x), stats.rankdata(x, axis=0))
+
+    def test_equals_rankdata_without_ties(self, rng):
+        x = rng.normal(size=(500, 3))
+        assert np.array_equal(_average_ranks(x), stats.rankdata(x, axis=0))
+
+    def test_signed_zeros_tie(self):
+        x = np.array([[0.0], [-0.0], [1.0], [-1.0]])
+        assert np.array_equal(_average_ranks(x)[:, 0], [2.5, 2.5, 4.0, 1.0])
 
 
 class TestDirectionalDecorrelation:

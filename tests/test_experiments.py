@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from eobkit.diagnostics import SurfacePoint, optimal_mse_baseline
 from eobkit.experiments import (GridSpec, LossSpec, ModelSpec, TrainConfig,
@@ -188,6 +189,13 @@ class TestTrendStats:
     def test_constant(self):
         stats = paradox_trend_test(self.make_points([1.0] * 5))
         assert stats[0].spearman_ssnr_eta == 0.0
+
+    def test_tied_eta_levels_match_scipy(self):
+        etas = [1.2, 1.0, 1.2, 1.4, 1.0]
+        levels = [32.0, 104.0, 176.0, 248.0, 320.0]
+        trend = paradox_trend_test(self.make_points(etas))
+        expected = stats.spearmanr(levels, etas).statistic
+        assert trend[0].spearman_ssnr_eta == pytest.approx(expected, rel=1e-14)
 
     def test_insufficient_levels(self):
         points = self.make_points([1.0, 1.1, 1.2, 1.3, 1.4])[:3]

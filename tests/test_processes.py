@@ -3,12 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy import signal
 
-from eobkit.processes import (ARSpec, Binomial, DeterministicSpec, Gaussian, Geometric,
-                              HybridSpec, NonStationaryError, Poisson, StudentT, Uniform,
-                              calibrate_innovation, hybrid_spec_from_dict,
-                              hybrid_spec_to_dict, sample_innovation, simulate_ar,
-                              synthesize_deterministic, synthesize_hybrid)
+from conftest import step_up
+from eobkit.processes import (_AR_BLOCK, ARSpec, Binomial, DeterministicSpec, Gaussian,
+                              Geometric, HybridSpec, NonStationaryError, Poisson, StudentT,
+                              Uniform, calibrate_innovation, default_burn_in,
+                              hybrid_spec_from_dict, hybrid_spec_to_dict, psi_weights,
+                              sample_innovation, simulate_ar, synthesize_deterministic,
+                              synthesize_hybrid)
 
 SIGMA_EPS2 = 0.25
 FAMILIES = ("binomial", "geometric", "gaussian", "poisson", "student_t", "uniform")
@@ -122,6 +127,47 @@ class TestSimulateAR:
         a = simulate_ar(spec, 1000, seed=11)
         b = simulate_ar(spec, 1000, seed=11)
         assert np.array_equal(a, b)
+
+
+def _gaussian_ar(phi) -> ARSpec:
+    return ARSpec(c=0.0, phi=tuple(phi), innovation=Gaussian(0.0, 0.5), sigma_eps2=0.25)
+
+
+def _assert_matches_lfilter(spec: ARSpec, n: int, burn_in: int, seed: int) -> None:
+    """simulate_ar against scipy's direct-form filter on the same innovations.
+
+    Both round differently; their gap is held to 1e-14 of max|y|, or to
+    eps * sum|psi_j| of it where that is larger: the rounding of a
+    recursion is amplified by the sum of its impulse response, which grows
+    without bound as roots cluster near the unit circle.
+    """
+    z = simulate_ar(spec, n, burn_in=burn_in, seed=seed)
+    eps = sample_innovation(spec.innovation, n + burn_in, seed)
+    ref = signal.lfilter([1.0], np.concatenate(([1.0], -np.asarray(spec.phi))), eps)[burn_in:]
+    amplification = float(np.sum(np.abs(psi_weights(spec, n + burn_in))))
+    tol = max(1e-14, np.finfo(float).eps * amplification)
+    assert z.shape == (n,)
+    assert float(np.max(np.abs(z - ref))) <= tol * float(np.max(np.abs(ref)))
+
+
+class TestRecursionAgainstLfilter:
+    @settings(max_examples=150, deadline=None)
+    @given(reflection=st.lists(st.floats(-0.99, 0.99), max_size=4),
+           n=st.sampled_from([1, _AR_BLOCK - 1, _AR_BLOCK, _AR_BLOCK + 1, 7 * _AR_BLOCK + 5,
+                              100 * _AR_BLOCK]),
+           burn_in=st.sampled_from([0, None]), seed=st.integers(0, 2**16))
+    @example(reflection=[0.99], n=100 * _AR_BLOCK, burn_in=0, seed=1)
+    @example(reflection=[], n=_AR_BLOCK + 1, burn_in=0, seed=2)
+    def test_stationary_specs(self, reflection, n, burn_in, seed):
+        spec = _gaussian_ar(step_up(np.asarray(reflection)))
+        _assert_matches_lfilter(spec, n, default_burn_in(spec.p) if burn_in is None else burn_in,
+                                seed)
+
+    @pytest.mark.parametrize("roots", [(0.99, 0.99), (0.95, 0.95, 0.95), (0.99, 0.99, 0.99),
+                                       (0.99, 0.99, 0.99, 0.99), (0.99, 0.9899, -0.5)])
+    def test_nearly_repeated_roots_near_the_unit_circle(self, roots):
+        # companion matrices far from normal: ||C^64|| runs from ~45 to ~2e5 here
+        _assert_matches_lfilter(_gaussian_ar(-np.poly(roots)[1:]), 5000, 0, seed=3)
 
 
 class TestDeterministic:

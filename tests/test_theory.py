@@ -85,6 +85,12 @@ class TestCorrMatrix:
             CorrMatrix(np.array([[1.0, 0.8, -0.8], [0.8, 1.0, 0.8], [-0.8, 0.8, 1.0]]))
         assert err.value.min_eigenvalue < -1e-10
 
+    def test_equality_compares_values(self):
+        assert CorrMatrix.identity(2) == CorrMatrix.identity(2)
+        assert CorrMatrix.identity(2) != CorrMatrix(np.array([[1.0, 0.5], [0.5, 1.0]]))
+        assert CorrMatrix.identity(2) != CorrMatrix.identity(3)
+        assert (CorrMatrix.identity(2) == object()) is False
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_entries(self, bad):
         with pytest.raises(ValueError, match="finite"):
