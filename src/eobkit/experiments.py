@@ -23,6 +23,7 @@ import numpy as np
 
 from . import losses
 from .diagnostics import SurfacePoint, _average_ranks, sliding_windows
+from .gradcheck import central_difference, relative_error
 from .processes import (ARSpec, DeterministicSpec, HybridSpec, make_rng,
                         synthesize_deterministic, synthesize_hybrid)
 from .theory import solve_yule_walker
@@ -284,15 +285,15 @@ class _TrainingLoss:
             self._target_mags = losses.coefficient_magnitudes(Y_train, self.cfg).mean(axis=0)
         self.ema = losses.update_ema(self.ema, self._target_mags)
 
-    def value_and_grad(self, Y: np.ndarray, P: np.ndarray) -> tuple[float, np.ndarray]:
+    def evaluate(self, Y: np.ndarray, P: np.ndarray) -> tuple[float, losses.LossEval]:
+        """Mean loss over the rows of Y, and the evaluation (gradient read on demand)."""
         if self.spec.kind == "temporal":
             ev = losses.temporal_l2(Y, P) if self.spec.norm == "l2" else losses.temporal_l1(Y, P)
         elif self.spec.norm == "l2":
             ev = losses.harmonized_l2(Y, P, self.ema, self.cfg)
         else:
             ev = losses.harmonized_l1(Y, P, self.ema, self.cfg)
-        n = Y.shape[0] if Y.ndim > 1 else 1
-        return float(np.sum(ev.value)) / n, ev.grad_wrt_prediction / n
+        return float(np.sum(ev.value)) / Y.shape[0], ev
 
 
 # ---------------------------------------------------------------------------
@@ -313,32 +314,28 @@ def make_window_pairs(series: np.ndarray, history: int, horizon: int,
 
 
 def _grad_check_at_init(model: _Model, X: np.ndarray, Y: np.ndarray,
-                        n_coords: int = 32, h: float = 1e-6, tol: float = 1e-4) -> float:
-    """FD-verify the architecture backprop under the squared loss at init."""
+                        n_coords: int = 32, tol: float = 1e-4) -> float:
+    """FD-verify the backprop under the squared loss at init, n_coords coordinates per tensor."""
     Xb, Yb = X[:16], Y[:16]
-
-    def objective() -> float:
-        pred, _ = model._forward(Xb)
-        return float(np.sum((Yb - pred) ** 2))
-
     pred, cache = model._forward(Xb)
     grads = model._backward(cache, -2.0 * (Yb - pred))
     rng = make_rng(12345)
     worst = 0.0
     for name in sorted(grads):
         flat = model.params[name].reshape(-1)
-        g_flat = grads[name].reshape(-1)
-        count = min(n_coords, flat.size)
-        for idx in rng.choice(flat.size, size=count, replace=False):
-            keep = flat[idx]
-            flat[idx] = keep + h
-            up = objective()
-            flat[idx] = keep - h
-            down = objective()
+        idx = rng.choice(flat.size, size=min(n_coords, flat.size), replace=False)
+        keep = flat[idx].copy()
+
+        def objective(probes: np.ndarray) -> np.ndarray:
+            values = np.empty(probes.shape[0])
+            for i, probe in enumerate(probes):
+                flat[idx] = probe
+                values[i] = np.sum((Yb - model._forward(Xb)[0]) ** 2)
             flat[idx] = keep
-            fd = (up - down) / (2.0 * h)
-            denom = max(abs(fd), abs(g_flat[idx]), 1e-6)
-            worst = max(worst, abs(fd - g_flat[idx]) / denom)
+            return values
+
+        fd = central_difference(objective, keep)
+        worst = max(worst, relative_error(grads[name].reshape(-1)[idx], fd))
     if worst > tol:
         raise GradientCheckError(
             f"analytic gradient disagrees with finite differences "
@@ -401,16 +398,16 @@ def train_model(spec: ModelSpec, X: np.ndarray, Y: np.ndarray, cfg: TrainConfig,
         for start in range(0, order.size, cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
             pred, cache = model._forward(X_tr[batch])
-            value, d_pred = loss.value_and_grad(Y_tr[batch], pred)
+            value, ev = loss.evaluate(Y_tr[batch], pred)
             if not math.isfinite(value):
                 raise TrainingDivergedError(
                     f"training loss became non-finite at epoch {epoch} "
                     f"(batch starting {start}); try a smaller learning rate")
             epoch_loss += value * batch.size
-            opt.step(model.params, model._backward(cache, d_pred))
+            opt.step(model.params, model._backward(cache, ev.grad_wrt_prediction / batch.size))
         train_curve.append(epoch_loss / order.size)
 
-        val_value, _ = loss.value_and_grad(Y_val, model.predict(X_val))
+        val_value = loss.evaluate(Y_val, model.predict(X_val))[0]  # gradient never read
         val_curve.append(val_value)
         if val_value < best_val - 1e-12:
             best_val = val_value

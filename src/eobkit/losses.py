@@ -19,14 +19,19 @@ real part of the inverse transform applied to the coefficient gradient
 transform itself.
 
 All functions act on the last axis of (..., L) arrays and return values per
-row, with shape x.shape[:-1]; the caller reduces over rows. A batch of
-series, or a stack of finite-difference probes, is evaluated in one call.
+row; the caller reduces over rows. The target broadcasts to the
+prediction's shape (same last axis), so one series is scored against a
+batch or a stack of finite-difference probes in one call and transformed
+once. Values are computed at once and gradients on first access, so a
+caller that reads only values never runs the pullback.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -54,13 +59,29 @@ __all__ = [
 class LossEval:
     """Loss value per row (a float for 1-D input) plus the temporal-domain gradient.
 
+    The gradient has the prediction's shape and is computed on first access.
     Losses made of several terms (amplitude/phase splits) expose them in
     `parts`; the top-level value and gradient are the sums of the parts.
     """
 
     value: float | np.ndarray
-    grad_wrt_prediction: np.ndarray
+    _grad_fn: Callable[[], np.ndarray] = field(repr=False, compare=False)
     parts: dict[str, "LossEval"] = field(default_factory=dict)
+
+    @functools.cached_property
+    def grad_wrt_prediction(self) -> np.ndarray:
+        return self._grad_fn()
+
+
+def _penalty(r: np.ndarray, norm: str) -> np.ndarray:
+    return r**2 if norm == "l2" else np.abs(r)
+
+
+def _sum_of_parts(parts: dict[str, LossEval]) -> LossEval:
+    first, second = parts.values()
+    return LossEval(value=first.value + second.value,
+                    _grad_fn=lambda: first.grad_wrt_prediction + second.grad_wrt_prediction,
+                    parts=parts)
 
 
 @dataclass(frozen=True)
@@ -129,11 +150,13 @@ class HarmonizedConfig:
 # ---------------------------------------------------------------------------
 
 def _check_lengths(x: np.ndarray, x_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The target must broadcast to the prediction's shape with the same last axis."""
     x = np.asarray(x, dtype=float)
     x_hat = np.asarray(x_hat, dtype=float)
-    if x.shape != x_hat.shape:
+    if (x.ndim > x_hat.ndim or x.shape[-1:] != x_hat.shape[-1:]
+            or any(a not in (1, b) for a, b in zip(x.shape, x_hat.shape[x_hat.ndim - x.ndim:]))):
         raise ValueError(f"length mismatch: target {x.shape} vs prediction {x_hat.shape}")
-    if x.shape[-1] < 1:
+    if x_hat.ndim < 1 or x_hat.shape[-1] < 1:
         raise ValueError("inputs must have at least one sample")
     return x, x_hat
 
@@ -177,14 +200,14 @@ def temporal_l2(x: np.ndarray, x_hat: np.ndarray) -> LossEval:
     """Squared error; gradient -2(x - x_hat) scales with the error (dominance)."""
     x, x_hat = _check_lengths(x, x_hat)
     e = x - x_hat
-    return LossEval(value=np.sum(e**2, axis=-1), grad_wrt_prediction=-2.0 * e)
+    return LossEval(value=np.sum(e**2, axis=-1), _grad_fn=lambda: -2.0 * e)
 
 
 def temporal_l1(x: np.ndarray, x_hat: np.ndarray) -> LossEval:
     """Absolute error; gradient -sgn(x - x_hat) has magnitude 1 or 0 (fatigue)."""
     x, x_hat = _check_lengths(x, x_hat)
     e = x - x_hat
-    return LossEval(value=np.sum(np.abs(e), axis=-1), grad_wrt_prediction=-np.sign(e))
+    return LossEval(value=np.sum(np.abs(e), axis=-1), _grad_fn=lambda: -np.sign(e))
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +224,7 @@ def freq_real_imag_l2(x: np.ndarray, x_hat: np.ndarray) -> LossEval:
     x, x_hat = _check_lengths(x, x_hat)
     d = _dft(x) - _dft(x_hat)
     value = np.sum(d.real**2 + d.imag**2, axis=-1)
-    return LossEval(value=value, grad_wrt_prediction=_dft_pullback(-2.0 * d))
+    return LossEval(value=value, _grad_fn=lambda: _dft_pullback(-2.0 * d))
 
 
 def freq_real_imag_l1(x: np.ndarray, x_hat: np.ndarray) -> LossEval:
@@ -214,8 +237,8 @@ def freq_real_imag_l1(x: np.ndarray, x_hat: np.ndarray) -> LossEval:
     x, x_hat = _check_lengths(x, x_hat)
     d = _dft(x) - _dft(x_hat)
     value = np.sum(np.abs(d.real) + np.abs(d.imag), axis=-1)
-    g = -(np.sign(d.real) + 1j * np.sign(d.imag))
-    return LossEval(value=value, grad_wrt_prediction=_dft_pullback(g))
+    return LossEval(value=value, _grad_fn=lambda: _dft_pullback(
+        -(np.sign(d.real) + 1j * np.sign(d.imag))))
 
 
 # ---------------------------------------------------------------------------
@@ -248,34 +271,24 @@ def freq_amp_phase(x: np.ndarray, x_hat: np.ndarray, norm: str = "l2",
     x, x_hat = _check_lengths(x, x_hat)
     amp, phase = _amp_phase_of(_dft(x))
     amp_hat, phase_hat = _amp_phase_of(_dft(x_hat))
-
-    cos_h, sin_h = np.cos(phase_hat), np.sin(phase_hat)
     amp_diff = amp - amp_hat
-    if norm == "l2":
-        amp_value = np.sum(amp_diff**2, axis=-1)
-        de_damp = -2.0 * amp_diff
-    else:
-        amp_value = np.sum(np.abs(amp_diff), axis=-1)
-        de_damp = -np.sign(amp_diff)
-    amp_grad = _dft_pullback(de_damp * (cos_h + 1j * sin_h))
-    amp_part = LossEval(value=amp_value, grad_wrt_prediction=amp_grad)
-
     alive = amp_hat >= eps
     phase_diff = np.where(alive, _wrap_phase(phase - phase_hat), 0.0)
-    if norm == "l2":
-        phase_value = np.sum(phase_diff**2, axis=-1)
-        de_dphase = -2.0 * phase_diff
-    else:
-        phase_value = np.sum(np.abs(phase_diff), axis=-1)
-        de_dphase = -np.sign(phase_diff)
-    inv_amp = np.where(alive, 1.0 / np.where(alive, amp_hat, 1.0), 0.0)
-    # d(phase_hat)/d(re, im) = (-sin, cos)/amp_hat
-    g = de_dphase * inv_amp * (-sin_h + 1j * cos_h)
-    phase_part = LossEval(value=phase_value, grad_wrt_prediction=_dft_pullback(g))
+    amp_value = np.sum(_penalty(amp_diff, norm), axis=-1)
+    phase_value = np.sum(_penalty(phase_diff, norm), axis=-1)
 
-    return LossEval(value=amp_part.value + phase_part.value,
-                    grad_wrt_prediction=amp_part.grad_wrt_prediction + phase_part.grad_wrt_prediction,
-                    parts={"amplitude": amp_part, "phase": phase_part})
+    def amp_grad() -> np.ndarray:
+        de_damp = -2.0 * amp_diff if norm == "l2" else -np.sign(amp_diff)
+        return _dft_pullback(de_damp * (np.cos(phase_hat) + 1j * np.sin(phase_hat)))
+
+    def phase_grad() -> np.ndarray:
+        de_dphase = -2.0 * phase_diff if norm == "l2" else -np.sign(phase_diff)
+        inv_amp = np.where(alive, 1.0 / np.where(alive, amp_hat, 1.0), 0.0)
+        # d(phase_hat)/d(re, im) = (-sin, cos)/amp_hat
+        return _dft_pullback(de_dphase * inv_amp * (-np.sin(phase_hat) + 1j * np.cos(phase_hat)))
+
+    return _sum_of_parts({"amplitude": LossEval(value=amp_value, _grad_fn=amp_grad),
+                          "phase": LossEval(value=phase_value, _grad_fn=phase_grad)})
 
 
 def freq_error_amp_phase(x: np.ndarray, x_hat: np.ndarray, norm: str = "l2",
@@ -295,32 +308,24 @@ def freq_error_amp_phase(x: np.ndarray, x_hat: np.ndarray, norm: str = "l2",
     fe = _dft(x - x_hat)
     err_amp, err_phase = _amp_phase_of(fe)
     alive = err_amp >= eps
-
-    if norm == "l2":
-        amp_value = np.sum(err_amp**2, axis=-1)
-        # identical to the temporal squared error; gradient -2(x - x_hat)
-        amp_grad = -_dft_pullback(2.0 * fe)
-    else:
-        amp_value = np.sum(err_amp, axis=-1)
-        unit = np.where(alive, np.exp(1j * err_phase), 0.0)
-        amp_grad = -_dft_pullback(unit)
-    amp_part = LossEval(value=amp_value, grad_wrt_prediction=amp_grad)
-
     phase_term = np.where(alive, err_phase, 0.0)
-    if norm == "l2":
-        phase_value = np.sum(phase_term**2, axis=-1)
-        de_dphase = 2.0 * phase_term
-    else:
-        phase_value = np.sum(np.abs(phase_term), axis=-1)
-        de_dphase = np.sign(phase_term)
-    inv_amp2 = np.where(alive, 1.0 / np.where(alive, err_amp**2, 1.0), 0.0)
-    # d(err_phase)/d(fe) = (-Im fe, Re fe)/|fe|^2 and d(fe)/d(x_hat) = -U
-    g = de_dphase * inv_amp2 * (-fe.imag + 1j * fe.real)
-    phase_part = LossEval(value=phase_value, grad_wrt_prediction=-_dft_pullback(g))
+    amp_value = np.sum(_penalty(err_amp, norm), axis=-1)
+    phase_value = np.sum(_penalty(phase_term, norm), axis=-1)
 
-    return LossEval(value=amp_part.value + phase_part.value,
-                    grad_wrt_prediction=amp_part.grad_wrt_prediction + phase_part.grad_wrt_prediction,
-                    parts={"error_amplitude": amp_part, "error_phase": phase_part})
+    def amp_grad() -> np.ndarray:
+        if norm == "l2":
+            # identical to the temporal squared error; gradient -2(x - x_hat)
+            return -_dft_pullback(2.0 * fe)
+        return -_dft_pullback(np.where(alive, np.exp(1j * err_phase), 0.0))
+
+    def phase_grad() -> np.ndarray:
+        de_dphase = 2.0 * phase_term if norm == "l2" else np.sign(phase_term)
+        inv_amp2 = np.where(alive, 1.0 / np.where(alive, err_amp**2, 1.0), 0.0)
+        # d(err_phase)/d(fe) = (-Im fe, Re fe)/|fe|^2 and d(fe)/d(x_hat) = -U
+        return -_dft_pullback(de_dphase * inv_amp2 * (-fe.imag + 1j * fe.real))
+
+    return _sum_of_parts({"error_amplitude": LossEval(value=amp_value, _grad_fn=amp_grad),
+                          "error_phase": LossEval(value=phase_value, _grad_fn=phase_grad)})
 
 
 # ---------------------------------------------------------------------------
@@ -338,21 +343,19 @@ def _weighted_coeff_loss(x: np.ndarray, x_hat: np.ndarray, weights: np.ndarray,
     f = _forward_coeffs(x, cfg)
     f_hat = _forward_coeffs(x_hat, cfg)
     d = f - f_hat
-    if np.iscomplexobj(d):
+    pen = (_penalty(d.real, norm) + _penalty(d.imag, norm) if np.iscomplexobj(d)
+           else _penalty(d, norm))
+
+    def grad() -> np.ndarray:
         if norm == "l2":
-            value = np.sum(weights * (d.real**2 + d.imag**2), axis=-1)
             g = -2.0 * weights * d
-        else:
-            value = np.sum(weights * (np.abs(d.real) + np.abs(d.imag)), axis=-1)
+        elif np.iscomplexobj(d):
             g = -weights * (np.sign(d.real) + 1j * np.sign(d.imag))
-    else:
-        if norm == "l2":
-            value = np.sum(weights * d**2, axis=-1)
-            g = -2.0 * weights * d
         else:
-            value = np.sum(weights * np.abs(d), axis=-1)
             g = -weights * np.sign(d)
-    return LossEval(value=value, grad_wrt_prediction=_pullback(g, cfg))
+        return _pullback(g, cfg)
+
+    return LossEval(value=np.sum(weights * pen, axis=-1), _grad_fn=grad)
 
 
 def harmonized_l2(x: np.ndarray, x_hat: np.ndarray, ema: EmaMagnitudes,

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from eobkit import transforms
 from eobkit.diagnostics import SurfacePoint, optimal_mse_baseline
-from eobkit.experiments import (GridSpec, LossSpec, ModelSpec, TrainConfig,
-                                TrainingDivergedError, chronological_split, evaluate_mse,
+from eobkit.experiments import (GradientCheckError, GridSpec, LinearModel, LossSpec,
+                                ModelSpec, TrainConfig, TrainingDivergedError,
+                                chronological_split, evaluate_mse,
                                 insight_experiment, leakage_metrics, loss_spec_from_dict,
                                 make_window_pairs, paradox_trend_test, run_grid,
                                 train_model)
@@ -67,6 +69,33 @@ class TestTrainModel:
                          activation="relu")
         result = train_model(spec, X, Y, TrainConfig(max_epochs=1), seed=3)
         assert result.grad_check_err < 1e-4
+
+    def test_wrong_backprop_raises(self, rng, monkeypatch):
+        X, Y = rng.normal(size=(64, 6)), rng.normal(size=(64, 3))
+        backward = LinearModel._backward
+
+        def off_by_one_percent(self, cache, d_pred):
+            grads = backward(self, cache, d_pred)
+            return {**grads, "W": 1.01 * grads["W"]}
+
+        monkeypatch.setattr(LinearModel, "_backward", off_by_one_percent)
+        spec = ModelSpec(kind="linear", input_len=6, output_len=3)
+        with pytest.raises(GradientCheckError, match="max rel err"):
+            train_model(spec, X, Y, TrainConfig(max_epochs=1), seed=3)
+
+    def test_validation_pass_runs_no_pullback(self, rng, monkeypatch):
+        # one batch per epoch: the training batch is the only gradient read
+        calls = []
+        inverse = transforms.dwt_inverse
+        monkeypatch.setattr(transforms, "dwt_inverse",
+                            lambda w: calls.append(w.coeffs.shape) or inverse(w))
+        X, Y = rng.normal(size=(64, 8)), rng.normal(size=(64, 8))
+        spec = ModelSpec(kind="linear", input_len=8, output_len=8)
+        loss = LossSpec(kind="harmonized", norm="l2", transform="dwt", wavelet="db2")
+        cfg = TrainConfig(max_epochs=3, patience=5, loss=loss, check_gradients=False)
+        result = train_model(spec, X, Y, cfg, seed=1)
+        assert result.epochs_run == 3
+        assert calls == [(51, 8)] * 3
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
     def test_divergence_aborts_with_diagnostic(self, rng):
@@ -167,6 +196,15 @@ class TestRunGrid:
         pt = result.points[0]
         true_opt = optimal_mse_baseline(ARSpec.ar1_for_ssnr(32.0), 32, "psi_weights")
         assert pt.mse_actual / true_opt >= 0.9
+
+    def test_correct_gradient_cell_is_not_dropped(self):
+        # The per-coordinate check this replaced read 3.2e-4 > 1e-4 on this
+        # desk cell and run_grid dropped it; the shared oracle reads ~1e-8.
+        grid = GridSpec(ssnr_x_values=(248.0,), horizons=(64,), replications=1, seed=77)
+        model = ModelSpec(kind="linear", input_len=64, output_len=64)
+        result = run_grid(grid, model, tiny_cfg(max_epochs=1, check_gradients=True))
+        assert not result.failures, result.failures
+        assert len(result.points) == 1
 
     def test_validation(self):
         with pytest.raises(ValueError, match="floor"):

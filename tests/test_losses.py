@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eobkit import gradcheck
+from eobkit import gradcheck, transforms
+from eobkit.processes import make_rng
 from eobkit.losses import (EmaMagnitudes, HarmonizedConfig, freq_amp_phase,
                            freq_error_amp_phase, freq_real_imag_l1, freq_real_imag_l2,
                            harmonized_l1, harmonized_l2, temporal_l1, temporal_l2,
@@ -297,3 +298,84 @@ def test_ema_keeps_caller_array_writable():
     assert ema.f_bar[0] == 1.0
     with pytest.raises(ValueError, match="read-only"):
         ema.f_bar[0] = 3.0
+
+
+class TestBroadcastTarget:
+    """One target against a stack of predictions equals the explicitly broadcast call."""
+
+    @pytest.mark.parametrize("case", gradcheck.LOSS_CASES, ids=lambda c: c.name)
+    @given(B=st.integers(1, 6), L=st.sampled_from([8, 16, 32]),
+           seed=st.integers(0, 2**31 - 1))
+    @settings(max_examples=10, deadline=None)
+    def test_matches_broadcast_call(self, case, B, L, seed):
+        rng = np.random.default_rng(seed)
+        x, x_hat = case.make_pair(rng, L)
+        loss = case.make_loss(rng, L)
+        stack = x_hat + 0.01 * rng.normal(size=(B, L))
+        ev = loss(x, stack)
+        ref = loss(np.broadcast_to(x, stack.shape), stack)
+        for got, want in [(ev, ref)] + [(ev.parts[k], ref.parts[k]) for k in ref.parts]:
+            assert np.shape(got.value) == (B,)
+            assert got.grad_wrt_prediction.shape == (B, L)
+            assert gradcheck.relative_error(got.value, want.value) <= 1e-12
+            assert gradcheck.relative_error(got.grad_wrt_prediction,
+                                            want.grad_wrt_prediction) <= 1e-12
+
+    @pytest.mark.parametrize("case", gradcheck.LOSS_CASES, ids=lambda c: c.name)
+    @pytest.mark.parametrize("target_shape, pred_shape",
+                             [((3, 8), (8,)), ((8,), (3, 9)), ((2, 8), (3, 8)), ((1, 8), (8,))])
+    def test_non_broadcasting_target_rejected(self, case, target_shape, pred_shape, rng):
+        loss = case.make_loss(rng, 8)
+        with pytest.raises(ValueError, match="length mismatch"):
+            loss(rng.normal(size=target_shape), rng.normal(size=pred_shape))
+
+
+class TestLazyGradient:
+    @pytest.mark.parametrize("case", gradcheck.LOSS_CASES, ids=lambda c: c.name)
+    def test_gradient_is_computed_once(self, case, rng):
+        x, x_hat = case.make_pair(rng, 16)
+        ev = case.make_loss(rng, 16)(x, x_hat)
+        first = ev.grad_wrt_prediction
+        assert ev.grad_wrt_prediction is first
+
+    @pytest.mark.parametrize("loss", [freq_amp_phase, freq_error_amp_phase])
+    @pytest.mark.parametrize("norm", ["l1", "l2"])
+    def test_part_gradients_sum_to_total(self, loss, norm, rng):
+        x, x_hat = rng.normal(size=(3, 16)), rng.normal(size=(3, 16))
+        ev = loss(x, x_hat, norm)
+        first, second = ev.parts.values()
+        np.testing.assert_array_equal(ev.value, first.value + second.value)
+        np.testing.assert_array_equal(ev.grad_wrt_prediction,
+                                      first.grad_wrt_prediction + second.grad_wrt_prediction)
+
+    @pytest.mark.parametrize("case", gradcheck.LOSS_CASES, ids=lambda c: c.name)
+    def test_probe_stack_runs_no_pullback(self, case, monkeypatch):
+        """One suite instance pulls back as often as its analytic call alone."""
+        L = 8
+        seen = []
+
+        def counting(fn):
+            def wrapped(a, *args, **kwargs):
+                seen.append(np.shape(getattr(a, "coeffs", a)))
+                return fn(a, *args, **kwargs)
+            return wrapped
+
+        def record(fn):
+            seen.clear()
+            fn()
+            return list(seen)
+
+        def analytic_only():
+            rng = make_rng(0)
+            x, x_hat = case.make_pair(rng, L)
+            case.make_loss(rng, L)(x, x_hat).grad_wrt_prediction
+
+        monkeypatch.setattr(np.fft, "ifft", counting(np.fft.ifft))
+        monkeypatch.setattr(transforms, "dwt_inverse", counting(transforms.dwt_inverse))
+        suite = record(lambda: gradcheck.run_gradient_suite(
+            lengths=(L,), instances=1, seed=0, names=(case.name,)))
+        assert suite == record(analytic_only)
+        assert all(shape == (L,) for shape in suite)
+        pairs_only = record(lambda: case.make_pair(make_rng(0), L))
+        temporal = case.name in ("temporal_l2", "temporal_l1", "harmonized_l1_identity")
+        assert len(suite) == len(pairs_only) + (0 if temporal else 1 + ("phase" in case.name))
