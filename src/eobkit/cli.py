@@ -17,11 +17,12 @@ import logging
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import diagnostics, experiments, gradcheck, theory, transforms
-from .processes import (ARSpec, ar_spec_from_dict, hybrid_spec_from_dict,
+from .processes import (ARSpec, ar_spec_from_dict, from_dict, hybrid_spec_from_dict,
                         synthesize_hybrid, calibrate_innovation)
 
 log = logging.getLogger("eobkit")
@@ -76,8 +77,15 @@ def _read_series(path: str) -> np.ndarray:
 
 
 def _load_json(path: str) -> dict:
+    def reject(text: str):
+        raise ValueError(f"non-finite number {text} in {path}")
+
+    def parse_float(text: str) -> float:
+        value = float(text)
+        return value if math.isfinite(value) else reject(text)
+
     with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
+        obj = json.load(fh, parse_constant=reject, parse_float=parse_float)
     if not isinstance(obj, dict):
         raise ValueError(f"{path} must contain a JSON object")
     return obj
@@ -200,33 +208,13 @@ def _parse_experiment_config(obj: dict, seed_override: int | None):
     if "grid" not in obj:
         raise ValueError("experiment config requires a 'grid' section")
 
-    grid_fields = {f for f in experiments.GridSpec.__dataclass_fields__}
-    unknown = set(obj["grid"]) - grid_fields
-    if unknown:
-        raise ValueError(f"unknown field(s) in grid config: {sorted(unknown)}")
-    grid_kwargs = dict(obj["grid"])
+    grid = from_dict(experiments.GridSpec, obj["grid"], "grid config")
     if seed_override is not None:
-        grid_kwargs["seed"] = seed_override
-    grid = experiments.GridSpec(**grid_kwargs)
-
-    model_obj = dict(obj.get("model", {"kind": "linear"}))
-    unknown = set(model_obj) - {"kind", "hidden", "activation", "init_seed"}
-    if unknown:
-        raise ValueError(f"unknown field(s) in model config: {sorted(unknown)}")
-    model = experiments.ModelSpec(kind=model_obj.get("kind", "linear"),
-                                  input_len=grid.history, output_len=grid.horizons[0],
-                                  hidden=model_obj.get("hidden", 64),
-                                  activation=model_obj.get("activation", "tanh"),
-                                  init_seed=model_obj.get("init_seed", 0))
-
-    train_obj = dict(obj.get("train", {}))
-    train_fields = {"optimizer", "lr", "max_epochs", "patience", "batch_size", "split",
-                    "check_gradients"}
-    unknown = set(train_obj) - train_fields
-    if unknown:
-        raise ValueError(f"unknown field(s) in train config: {sorted(unknown)}")
-    loss = experiments.loss_spec_from_dict(obj.get("loss", {}))
-    cfg = experiments.TrainConfig(loss=loss, **train_obj)
+        grid = replace(grid, seed=seed_override)
+    model = from_dict(experiments.ModelSpec, obj.get("model", {}), "model config",
+                      input_len=grid.history, output_len=grid.horizons[0])
+    loss = from_dict(experiments.LossSpec, obj.get("loss", {}), "loss config")
+    cfg = from_dict(experiments.TrainConfig, obj.get("train", {}), "train config", loss=loss)
     return grid, model, cfg
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -57,14 +57,7 @@ class OrthoReport:
     n_samples: int
 
     def to_dict(self) -> dict:
-        return {
-            "ode_ratio": self.ode_ratio,
-            "spearman_mean": self.spearman_mean,
-            "eigen_entropy": self.eigen_entropy,
-            "dist_identity": self.dist_identity,
-            "dim": self.dim,
-            "n_samples": self.n_samples,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

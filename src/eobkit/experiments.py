@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -43,7 +43,6 @@ __all__ = [
     "evaluate_mse",
     "insight_experiment",
     "leakage_metrics",
-    "loss_spec_from_dict",
     "make_window_pairs",
     "paradox_trend_test",
     "run_grid",
@@ -65,7 +64,7 @@ class GradientCheckError(RuntimeError):
 
 @dataclass(frozen=True)
 class ModelSpec:
-    kind: str  # "linear" | "mlp1"
+    kind: str = field(default="linear", kw_only=True)  # "linear" | "mlp1"
     input_len: int
     output_len: int
     hidden: int = 64
@@ -108,16 +107,6 @@ class LossSpec:
             raise ValueError(f"norm must be 'l1' or 'l2', got {self.norm!r}")
         if not 0.0 <= self.beta < 1.0:
             raise ValueError(f"beta must lie in [0, 1), got {self.beta}")
-
-
-_LOSS_SPEC_FIELDS = ("kind", "norm", "gamma", "beta", "eps", "transform", "wavelet", "levels")
-
-
-def loss_spec_from_dict(obj: dict) -> LossSpec:
-    unknown = set(obj) - set(_LOSS_SPEC_FIELDS)
-    if unknown:
-        raise ValueError(f"unknown field(s) in loss config: {sorted(unknown)}")
-    return LossSpec(**obj)
 
 
 @dataclass(frozen=True)
@@ -608,13 +597,7 @@ class InsightReport:
     dominant_bin: dict[str, int]
 
     def to_dict(self) -> dict:
-        return {
-            "tone_freqs": list(self.tone_freqs),
-            "tone_bins": list(self.tone_bins),
-            "leakage": dict(self.leakage),
-            "in_band_amp_error": dict(self.in_band_amp_error),
-            "dominant_bin": dict(self.dominant_bin),
-        }
+        return asdict(self)
 
 
 def insight_experiment(K: int = 3, fmax: int = 15, n: int = 3072,

@@ -12,7 +12,7 @@ points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -185,9 +185,7 @@ class GradCheckReport:
         return self.max_rel_err < self.tolerance
 
     def to_dict(self) -> dict:
-        return {"name": self.name, "tolerance": self.tolerance,
-                "max_rel_err": self.max_rel_err, "instances": self.instances,
-                "passed": self.passed}
+        return {**asdict(self), "passed": self.passed}
 
 
 def run_gradient_suite(lengths: tuple[int, ...] = (8, 32, 128), instances: int = 100,

@@ -18,7 +18,7 @@ parallel grids.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, Field, asdict, dataclass, field, fields
 from typing import Union
 
 import numpy as np
@@ -29,6 +29,15 @@ class NonStationaryError(ValueError):
 
 
 SeedLike = Union[int, np.random.SeedSequence]
+
+
+def _cast(spec, **casts) -> None:
+    """Coerce fields of a frozen dataclass in place (JSON numbers come as int or float)."""
+    for name, cast in casts.items():
+        try:
+            object.__setattr__(spec, name, cast(getattr(spec, name)))
+        except TypeError as exc:
+            raise ValueError(f"{type(spec).__name__}.{name}: {exc}") from None
 
 
 def make_rng(seed: SeedLike) -> np.random.Generator:
@@ -55,6 +64,7 @@ class Binomial:
     p: float
 
     def __post_init__(self):
+        _cast(self, n=int)
         if self.n < 1:
             raise ValueError(f"binomial requires n >= 1, got n={self.n}")
         if not 0.0 < self.p <= 1.0:
@@ -116,7 +126,7 @@ class Gaussian:
 
 @dataclass(frozen=True)
 class Poisson:
-    lam: float
+    lam: float = field(metadata={"json_key": "lambda"})
 
     def __post_init__(self):
         if self.lam <= 0.0:
@@ -268,7 +278,7 @@ class ARSpec:
     sigma_eps2: float
 
     def __post_init__(self):
-        object.__setattr__(self, "phi", tuple(float(v) for v in self.phi))
+        _cast(self, c=float, phi=lambda v: tuple(map(float, v)), sigma_eps2=float)
         if self.sigma_eps2 <= 0.0:
             raise ValueError(f"sigma_eps2 must be positive, got {self.sigma_eps2}")
         if not math.isclose(self.innovation.variance, self.sigma_eps2,
@@ -322,8 +332,8 @@ class DeterministicSpec:
     period: int
 
     def __post_init__(self):
-        object.__setattr__(self, "freqs", tuple(int(k) for k in self.freqs))
-        object.__setattr__(self, "phases", tuple(float(v) for v in self.phases))
+        _cast(self, base_amplitude=float, freqs=lambda v: tuple(map(int, v)),
+              phases=lambda v: tuple(map(float, v)), period=int)
         if len(self.freqs) == 0:
             raise ValueError("at least one harmonic frequency is required")
         if len(self.freqs) != len(self.phases):
@@ -368,10 +378,11 @@ class HybridSpec:
     """Deterministic sinusoid stack plus stochastic AR core; x = v + z."""
 
     ar: ARSpec
-    det: DeterministicSpec | None
+    det: DeterministicSpec | None = field(default=None, kw_only=True)
     length: int
 
     def __post_init__(self):
+        _cast(self, length=int)
         if self.length < 0:
             raise ValueError(f"length must be >= 0, got {self.length}")
 
@@ -498,88 +509,71 @@ def synthesize_hybrid(spec: HybridSpec, seed: SeedLike = 0) -> np.ndarray:
 # JSON serialization (schema: {"ar": {...}, "det": {...}, "length": N})
 # ---------------------------------------------------------------------------
 
-_INNOVATION_JSON_FIELDS = {
-    "binomial": ("n", "p"),
-    "geometric": ("p",),
-    "gaussian": ("mu", "sigma"),
-    "poisson": ("lambda",),
-    "student_t": ("nu", "alpha"),
-    "uniform": ("a", "b"),
-}
+def _json_key(f: Field) -> str:
+    return f.metadata.get("json_key", f.name)
 
 
-def _check_keys(obj: dict, allowed: tuple[str, ...], where: str) -> None:
-    unknown = set(obj) - set(allowed)
+def _json_object(obj, where: str) -> dict:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(obj).__name__}")
+    return dict(obj)
+
+
+def from_dict(cls, obj, where: str, nested: dict | None = None, **fixed):
+    """Build the dataclass `cls` from the JSON object `obj`, named `where` in errors.
+
+    The keys are the fields of `cls` (a field's metadata "json_key" renames
+    its key) less the `fixed` ones, which the caller supplies; a field
+    without a default is required. `nested` maps a key to the loader of its
+    section.
+    """
+    values = _json_object(obj, where)
+    by_key = {_json_key(f): f for f in fields(cls) if f.name not in fixed}
+    unknown = set(values) - set(by_key)
     if unknown:
         raise ValueError(f"unknown field(s) in {where}: {sorted(unknown)}")
+    missing = [key for key, f in by_key.items() if key not in values
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ValueError(f"{where} missing field(s): {missing}")
+    for key, load in (nested or {}).items():
+        if key in values:
+            values[key] = load(values[key])
+    return cls(**{by_key[key].name: value for key, value in values.items()}, **fixed)
 
 
 def innovation_to_dict(dist: InnovationDist) -> dict:
-    kind = innovation_kind(dist)
-    out = {"kind": kind}
-    for field_name in _INNOVATION_JSON_FIELDS[kind]:
-        attr = "lam" if field_name == "lambda" else field_name
-        out[field_name] = getattr(dist, attr)
-    return out
+    return {"kind": innovation_kind(dist),
+            **{_json_key(f): getattr(dist, f.name) for f in fields(dist)}}
 
 
 def innovation_from_dict(obj: dict) -> InnovationDist:
-    if "kind" not in obj:
-        raise ValueError("innovation object requires a 'kind' field")
-    kind = obj["kind"]
-    if kind not in _INNOVATION_JSON_FIELDS:
-        raise ValueError(f"unknown innovation kind {kind!r}")
-    fields = _INNOVATION_JSON_FIELDS[kind]
-    _check_keys(obj, ("kind",) + fields, f"innovation[{kind}]")
-    missing = [f for f in fields if f not in obj]
-    if missing:
-        raise ValueError(f"innovation[{kind}] missing field(s): {missing}")
-    kwargs = {("lam" if f == "lambda" else f): obj[f] for f in fields}
-    if kind == "binomial":
-        kwargs["n"] = int(kwargs["n"])
-    return _INNOVATION_KINDS[kind](**kwargs)
+    values = _json_object(obj, "innovation")
+    kind = values.pop("kind", None)
+    if not isinstance(kind, str) or kind not in _INNOVATION_KINDS:
+        raise ValueError(f"innovation kind must be one of {sorted(_INNOVATION_KINDS)}, "
+                         f"got {kind!r}")
+    return from_dict(_INNOVATION_KINDS[kind], values, f"innovation[{kind}]")
 
 
 def ar_spec_to_dict(spec: ARSpec) -> dict:
-    return {
-        "c": spec.c,
-        "phi": list(spec.phi),
-        "innovation": innovation_to_dict(spec.innovation),
-        "sigma_eps2": spec.sigma_eps2,
-    }
+    return {**asdict(spec), "innovation": innovation_to_dict(spec.innovation)}
 
 
 def ar_spec_from_dict(obj: dict) -> ARSpec:
-    _check_keys(obj, ("c", "phi", "innovation", "sigma_eps2"), "ar")
-    missing = [f for f in ("c", "phi", "innovation", "sigma_eps2") if f not in obj]
-    if missing:
-        raise ValueError(f"ar spec missing field(s): {missing}")
-    return ARSpec(c=float(obj["c"]), phi=tuple(obj["phi"]),
-                  innovation=innovation_from_dict(obj["innovation"]),
-                  sigma_eps2=float(obj["sigma_eps2"]))
+    return from_dict(ARSpec, obj, "ar", nested={"innovation": innovation_from_dict})
 
 
 def det_spec_to_dict(spec: DeterministicSpec) -> dict:
-    return {
-        "K": spec.K,
-        "base_amplitude": spec.base_amplitude,
-        "freqs": list(spec.freqs),
-        "phases": list(spec.phases),
-        "period": spec.period,
-    }
+    return {"K": spec.K, **asdict(spec)}
 
 
 def det_spec_from_dict(obj: dict) -> DeterministicSpec:
-    fields = ("K", "base_amplitude", "freqs", "phases", "period")
-    _check_keys(obj, fields, "det")
-    missing = [f for f in ("base_amplitude", "freqs", "phases", "period") if f not in obj]
-    if missing:
-        raise ValueError(f"det spec missing field(s): {missing}")
-    spec = DeterministicSpec(base_amplitude=float(obj["base_amplitude"]),
-                             freqs=tuple(obj["freqs"]), phases=tuple(obj["phases"]),
-                             period=int(obj["period"]))
-    if "K" in obj and int(obj["K"]) != spec.K:
-        raise ValueError(f"det spec K={obj['K']} does not match len(freqs)={spec.K}")
+    values = _json_object(obj, "det")
+    K = values.pop("K", None)  # derived from freqs; checked when given
+    spec = from_dict(DeterministicSpec, values, "det")
+    if "K" in obj and int(K) != spec.K:
+        raise ValueError(f"det spec K={K} does not match len(freqs)={spec.K}")
     return spec
 
 
@@ -591,8 +585,6 @@ def hybrid_spec_to_dict(spec: HybridSpec) -> dict:
 
 
 def hybrid_spec_from_dict(obj: dict) -> HybridSpec:
-    _check_keys(obj, ("ar", "det", "length"), "process spec")
-    if "ar" not in obj or "length" not in obj:
-        raise ValueError("process spec requires 'ar' and 'length' fields")
-    det = det_spec_from_dict(obj["det"]) if obj.get("det") is not None else None
-    return HybridSpec(ar=ar_spec_from_dict(obj["ar"]), det=det, length=int(obj["length"]))
+    return from_dict(HybridSpec, obj, "process spec", nested={
+        "ar": ar_spec_from_dict,
+        "det": lambda det: None if det is None else det_spec_from_dict(det)})

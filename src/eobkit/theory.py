@@ -23,7 +23,7 @@ factor that validates a `CorrMatrix`; `szego_convergence_curve` runs Durbin, no 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -142,15 +142,7 @@ class EobReport:
         return self.value_nats * NATS_TO_BITS
 
     def to_dict(self) -> dict:
-        return {
-            "value_nats": self.value_nats,
-            "ssnr": self.ssnr,
-            "T": self.T,
-            "p": self.p,
-            "steady_term": self.steady_term,
-            "transient_term": self.transient_term,
-            "method": self.method,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------

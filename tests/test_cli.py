@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -9,7 +10,9 @@ import numpy as np
 import pytest
 
 import eobkit
-from eobkit.cli import main
+from eobkit.cli import _parse_experiment_config, main
+from eobkit.experiments import GridSpec, ModelSpec
+from eobkit.processes import hybrid_spec_from_dict
 from test_experiments import tiny_grid
 
 
@@ -17,26 +20,31 @@ def run_cli(*argv) -> int:
     return main(list(argv))
 
 
+AR_SPEC = {"c": 0.0, "phi": [0.6], "innovation": {"kind": "gaussian", "mu": 0.0, "sigma": 0.5},
+           "sigma_eps2": 0.25}
+PROCESS_SPEC = {"ar": AR_SPEC, "length": 1000,
+                "det": {"base_amplitude": 1.0, "freqs": [3], "phases": [0.5], "period": 64}}
+GRID_CONFIG = {
+    "schema_version": 1,
+    "grid": {"ssnr_x_values": [32.0, 96.0], "horizons": [16], "history": 16,
+             "series_length": 700, "replications": 1, "seed": 0, "det_period": 32},
+    "model": {"kind": "linear"},
+    "train": {"lr": 1e-3, "max_epochs": 4, "check_gradients": False},
+    "loss": {"kind": "temporal", "norm": "l2"},
+}
+
+
 @pytest.fixture
 def ar_spec_file(tmp_path):
     path = tmp_path / "ar.json"
-    path.write_text(json.dumps({
-        "c": 0.0, "phi": [0.6],
-        "innovation": {"kind": "gaussian", "mu": 0.0, "sigma": 0.5},
-        "sigma_eps2": 0.25,
-    }))
+    path.write_text(json.dumps(AR_SPEC))
     return str(path)
 
 
 @pytest.fixture
 def process_spec_file(tmp_path):
     path = tmp_path / "proc.json"
-    path.write_text(json.dumps({
-        "ar": {"c": 0.0, "phi": [0.6],
-               "innovation": {"kind": "gaussian", "mu": 0.0, "sigma": 0.5},
-               "sigma_eps2": 0.25},
-        "length": 100_000,
-    }))
+    path.write_text(json.dumps({"ar": AR_SPEC, "length": 100_000}))
     return str(path)
 
 
@@ -155,6 +163,22 @@ class TestNonFiniteInput:
         assert captured.out == ""
         assert f"non-finite value '{bad}' in {src} at row 7" in captured.err
 
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity", "1e999"])
+    @pytest.mark.parametrize("command,key", [("generate", "mu"), ("generate", "base_amplitude"),
+                                             ("eob", "c"), ("simulate", "lr")])
+    def test_json_rejected_with_file(self, command, key, bad, tmp_path, capsys):
+        flag, doc = {"generate": ("--spec", PROCESS_SPEC), "eob": ("--spec", AR_SPEC),
+                     "simulate": ("--grid", GRID_CONFIG)}[command]
+        text = json.dumps(doc)
+        assert text.count(f'"{key}": ') == 1
+        src = tmp_path / "doc.json"
+        src.write_text(re.sub(rf'"{key}": [^,}}]+', f'"{key}": {bad}', text))
+        argv = [command, flag, str(src)] + (["--T", "10"] if command == "eob" else [])
+        assert run_cli(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"non-finite number {bad} in {src}" in captured.err
+
 
 class TestLossCheck:
     @pytest.mark.parametrize("instances,lengths", [("100", "8,32,128"), ("2", "8,16,32")])
@@ -181,14 +205,7 @@ class TestLossCheck:
 @pytest.fixture
 def grid_config_file(tmp_path):
     path = tmp_path / "grid.json"
-    path.write_text(json.dumps({
-        "schema_version": 1,
-        "grid": {"ssnr_x_values": [32.0, 96.0], "horizons": [16], "history": 16,
-                 "series_length": 700, "replications": 1, "seed": 0, "det_period": 32},
-        "model": {"kind": "linear"},
-        "train": {"max_epochs": 4, "check_gradients": False},
-        "loss": {"kind": "temporal", "norm": "l2"},
-    }))
+    path.write_text(json.dumps(GRID_CONFIG))
     return str(path)
 
 
@@ -221,6 +238,60 @@ class TestSimulate:
         bad.write_text(json.dumps({"schema_version": 1, "grid": {"seed": 0},
                                    "surprise": {}}))
         assert run_cli("simulate", "--grid", str(bad)) == 1
+
+
+# A null det is the spec without sinusoids, so (det, None) is left out.
+NON_OBJECT_SECTIONS = [(command, section, value)
+                       for command, sections in (("simulate", ("grid", "model", "train", "loss")),
+                                                 ("generate", ("ar", "det", "innovation")))
+                       for section in sections for value in (None, [1], 5)
+                       if (section, value) != ("det", None)]
+
+
+class TestSchema:
+    @pytest.mark.parametrize("command,section,value", NON_OBJECT_SECTIONS)
+    def test_non_object_section_exits_1(self, command, section, value, tmp_path, capsys):
+        doc = json.loads(json.dumps(GRID_CONFIG if command == "simulate" else PROCESS_SPEC))
+        (doc["ar"] if section == "innovation" else doc)[section] = value
+        with pytest.raises(ValueError, match=f"^{section}( config)? must be a JSON object"):
+            if command == "simulate":
+                _parse_experiment_config(doc, None)
+            else:
+                hybrid_spec_from_dict(doc)
+        src = tmp_path / "doc.json"
+        src.write_text(json.dumps(doc))
+        assert run_cli(command, "--grid" if command == "simulate" else "--spec", str(src)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert section in captured.err and "must be a JSON object" in captured.err
+
+    def test_config_builds_the_specs(self):
+        grid, model, cfg = _parse_experiment_config(GRID_CONFIG, None)
+        assert grid == GridSpec(ssnr_x_values=(32.0, 96.0), horizons=(16,), history=16,
+                                series_length=700, replications=1, seed=0, det_period=32)
+        assert model == ModelSpec(kind="linear", input_len=16, output_len=16)
+        assert (cfg.lr, cfg.max_epochs, cfg.check_gradients, cfg.loss.kind) == (
+            1e-3, 4, False, "temporal")
+
+    def test_model_without_kind_is_linear(self):
+        doc = {**GRID_CONFIG, "model": {"hidden": 8}}
+        _, model, _ = _parse_experiment_config(doc, None)
+        assert model == ModelSpec(kind="linear", input_len=16, output_len=16, hidden=8)
+        del doc["model"]
+        assert _parse_experiment_config(doc, None)[1] == ModelSpec(input_len=16, output_len=16)
+
+    def test_seed_flag_overrides_the_grid_seed(self):
+        grid, _, _ = _parse_experiment_config(GRID_CONFIG, 7)
+        assert grid == GridSpec(ssnr_x_values=(32.0, 96.0), horizons=(16,), history=16,
+                                series_length=700, replications=1, seed=7, det_period=32)
+
+    @pytest.mark.parametrize("section,key", [("grid", "bogus"), ("model", "input_len"),
+                                             ("train", "loss"), ("loss", "bogus")])
+    def test_unknown_or_fixed_key_rejected(self, section, key):
+        doc = json.loads(json.dumps(GRID_CONFIG))
+        doc[section][key] = 1
+        with pytest.raises(ValueError, match=rf"unknown field\(s\) in {section} config"):
+            _parse_experiment_config(doc, None)
 
 
 class TestInsightCli:

@@ -9,10 +9,9 @@ from eobkit.diagnostics import SurfacePoint, optimal_mse_baseline
 from eobkit.experiments import (GradientCheckError, GridSpec, LinearModel, LossSpec,
                                 ModelSpec, TrainConfig, TrainingDivergedError,
                                 chronological_split, evaluate_mse,
-                                insight_experiment, leakage_metrics, loss_spec_from_dict,
-                                make_window_pairs, paradox_trend_test, run_grid,
-                                train_model)
-from eobkit.processes import ARSpec, Gaussian, simulate_ar
+                                insight_experiment, leakage_metrics, make_window_pairs,
+                                paradox_trend_test, run_grid, train_model)
+from eobkit.processes import ARSpec, Gaussian, from_dict, simulate_ar
 
 
 def ar1(phi=0.6):
@@ -273,11 +272,11 @@ class TestInsight:
 
 class TestLossSpecParsing:
     def test_round_trip(self):
-        spec = loss_spec_from_dict({"kind": "harmonized", "norm": "l1", "gamma": 0.5,
-                                    "beta": 0.3, "eps": 1e-8, "transform": "dft"})
+        spec = from_dict(LossSpec, {"kind": "harmonized", "norm": "l1", "gamma": 0.5,
+                                    "beta": 0.3, "eps": 1e-8, "transform": "dft"}, "loss")
         assert spec == LossSpec(kind="harmonized", norm="l1", gamma=0.5, beta=0.3,
                                 eps=1e-8, transform="dft")
 
     def test_unknown_field_rejected(self):
-        with pytest.raises(ValueError, match="unknown"):
-            loss_spec_from_dict({"kind": "temporal", "bogus": 1})
+        with pytest.raises(ValueError, match=r"unknown field\(s\) in loss: \['bogus'\]"):
+            from_dict(LossSpec, {"kind": "temporal", "bogus": 1}, "loss")

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -139,15 +140,18 @@ def _assert_matches_lfilter(spec: ARSpec, n: int, burn_in: int, seed: int) -> No
     Both round differently; their gap is held to 1e-14 of max|y|, or to
     eps * sum|psi_j| of it where that is larger: the rounding of a
     recursion is amplified by the sum of its impulse response, which grows
-    without bound as roots cluster near the unit circle.
+    without bound as roots cluster near the unit circle. max|y| runs over
+    the whole recursion, burn-in included: a sample is computed from state
+    of that size, so its rounding scales with it, however small the
+    returned window.
     """
     z = simulate_ar(spec, n, burn_in=burn_in, seed=seed)
     eps = sample_innovation(spec.innovation, n + burn_in, seed)
-    ref = signal.lfilter([1.0], np.concatenate(([1.0], -np.asarray(spec.phi))), eps)[burn_in:]
+    ref = signal.lfilter([1.0], np.concatenate(([1.0], -np.asarray(spec.phi))), eps)
     amplification = float(np.sum(np.abs(psi_weights(spec, n + burn_in))))
     tol = max(1e-14, np.finfo(float).eps * amplification)
     assert z.shape == (n,)
-    assert float(np.max(np.abs(z - ref))) <= tol * float(np.max(np.abs(ref)))
+    assert float(np.max(np.abs(z - ref[burn_in:]))) <= tol * float(np.max(np.abs(ref)))
 
 
 class TestRecursionAgainstLfilter:
@@ -158,6 +162,8 @@ class TestRecursionAgainstLfilter:
            burn_in=st.sampled_from([0, None]), seed=st.integers(0, 2**16))
     @example(reflection=[0.99], n=100 * _AR_BLOCK, burn_in=0, seed=1)
     @example(reflection=[], n=_AR_BLOCK + 1, burn_in=0, seed=2)
+    # the returned sample is 0.65 while the burn-in peaks at 11.7
+    @example(reflection=[0.8125, 0.8125, -0.875, -0.5], n=1, burn_in=None, seed=3067)
     def test_stationary_specs(self, reflection, n, burn_in, seed):
         spec = _gaussian_ar(step_up(np.asarray(reflection)))
         _assert_matches_lfilter(spec, n, default_burn_in(spec.p) if burn_in is None else burn_in,
@@ -278,3 +284,53 @@ class TestJsonSchema:
         obj = hybrid_spec_to_dict(HybridSpec(ar=ar, det=None, length=10))
         assert obj["ar"]["innovation"] == {"kind": "poisson", "lambda": 0.25}
         assert hybrid_spec_from_dict(obj).ar.innovation == Poisson(lam=0.25)
+        obj["ar"]["innovation"] = {"kind": "poisson", "lam": 0.25}
+        with pytest.raises(ValueError, match=r"unknown field\(s\) in innovation\[poisson\]"):
+            hybrid_spec_from_dict(obj)
+
+    def test_numbers_are_cast_as_before(self):
+        obj = hybrid_spec_to_dict(self.spec())
+        obj["length"] = 1000.0
+        obj["det"]["period"] = 128.0
+        obj["ar"]["c"] = 0
+        obj["ar"]["innovation"] = {"kind": "binomial", "n": 1.0, "p": 0.5}
+        spec = hybrid_spec_from_dict(obj)
+        assert spec.length == 1000 and type(spec.length) is int
+        assert type(spec.det.period) is int and type(spec.ar.c) is float
+        assert spec.ar.innovation == Binomial(n=1, p=0.5)
+        assert type(spec.ar.innovation.n) is int
+
+    def test_det_k_is_optional_and_checked(self):
+        obj = hybrid_spec_to_dict(self.spec())
+        assert obj["det"]["K"] == 2
+        with_k = hybrid_spec_from_dict(obj)
+        del obj["det"]["K"]
+        assert hybrid_spec_from_dict(obj) == with_k == self.spec()
+        obj["det"]["K"] = 3
+        with pytest.raises(ValueError, match="K=3"):
+            hybrid_spec_from_dict(obj)
+
+    def test_det_absent_or_null_means_none(self):
+        obj = hybrid_spec_to_dict(self.spec())
+        del obj["det"]
+        spec = hybrid_spec_from_dict(obj)
+        assert spec.det is None
+        assert hybrid_spec_from_dict({**obj, "det": None}) == spec
+
+    @pytest.mark.parametrize("section,drop", [("process spec", "length"), ("ar", "sigma_eps2"),
+                                              ("det", "phases"), ("innovation[gaussian]", "mu")])
+    def test_missing_field_rejected(self, section, drop):
+        obj = hybrid_spec_to_dict(self.spec())
+        where = {"process spec": obj, "ar": obj["ar"], "det": obj["det"],
+                 "innovation[gaussian]": obj["ar"]["innovation"]}[section]
+        del where[drop]
+        message = re.escape(f"{section} missing field(s): ['{drop}']")
+        with pytest.raises(ValueError, match=message):
+            hybrid_spec_from_dict(obj)
+
+    def test_innovation_kind_required(self):
+        obj = hybrid_spec_to_dict(self.spec())
+        del obj["ar"]["innovation"]["kind"]
+        with pytest.raises(ValueError, match="innovation kind must be one of"):
+            hybrid_spec_from_dict(obj)
+
