@@ -20,28 +20,16 @@ kept, so runs of two versions of the package sit side by side.
 from __future__ import annotations
 
 import argparse
-import json
 import os
-import statistics
 import sys
-import time
+
+from common import REPEATS, median_seconds, write_run
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 OUT = os.path.join(ROOT, "BENCH_theory.json")
 SWEEP = (16, 128, 512, 2048)
 PHI = 0.9
-REPEATS = 5
-
-
-def median_seconds(fn) -> float:
-    fn()
-    times = []
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-    return statistics.median(times)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -73,20 +61,9 @@ def main(argv: list[str] | None = None) -> int:
             median_s.setdefault(name, {})[str(T)] = median_seconds(fn)
             print(f"{name:24s} T={T:5d} {median_s[name][str(T)]:.6f} s", flush=True)
 
-    try:
-        with open(OUT, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        doc = {}
-    doc["spec"] = {"phi": [PHI], "sigma_eps2": 0.25}
-    doc["sweep"] = list(SWEEP)
-    doc["statistic"] = f"median of {REPEATS} calls after one warm-up, seconds"
-    doc.setdefault("runs", {})[args.label] = {"environment": environment(),
-                                              "median_s": median_s}
-    with open(OUT, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-    print(f"wrote runs[{args.label!r}] to {OUT}")
+    write_run(OUT, args.label, {"environment": environment(), "median_s": median_s},
+              spec={"phi": [PHI], "sigma_eps2": 0.25}, sweep=list(SWEEP),
+              statistic=f"median of {REPEATS} calls after one warm-up, seconds")
     return 0
 
 

@@ -81,13 +81,11 @@ class SurfacePoint:
 def sliding_windows(series: np.ndarray, window: int, stride: int = 1) -> np.ndarray:
     """Stack stride-1 (by default) windows of the series as matrix rows."""
     series = np.asarray(series, dtype=float)
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
-    n = series.shape[0] - window + 1
-    if n < 1:
+    if window < 1 or stride < 1:
+        raise ValueError(f"window and stride must be >= 1, got {window} and {stride}")
+    if series.shape[0] < window:
         raise ValueError(f"series of length {series.shape[0]} has no windows of length {window}")
-    idx = np.arange(0, n, stride)
-    return series[idx[:, None] + np.arange(window)[None, :]]
+    return np.lib.stride_tricks.sliding_window_view(series, window)[::stride].copy()
 
 
 def sample_correlation(windows: np.ndarray) -> CorrMatrix:

@@ -218,8 +218,8 @@ def calibrate_innovation(kind: str, sigma_eps2: float, nu: float = 5.0) -> Innov
       student_t alpha = sqrt(s2 * (nu-2)/nu)
       uniform   b = -a = sqrt(3*s2)
     """
-    if sigma_eps2 <= 0.0:
-        raise ValueError(f"sigma_eps2 must be positive, got {sigma_eps2}")
+    if not 0.0 < sigma_eps2 < math.inf:
+        raise ValueError(f"sigma_eps2 must be positive and finite, got {sigma_eps2}")
     s = math.sqrt(sigma_eps2)
     if kind == "binomial":
         if sigma_eps2 > 0.25:
@@ -279,8 +279,10 @@ class ARSpec:
 
     def __post_init__(self):
         _cast(self, c=float, phi=lambda v: tuple(map(float, v)), sigma_eps2=float)
-        if self.sigma_eps2 <= 0.0:
-            raise ValueError(f"sigma_eps2 must be positive, got {self.sigma_eps2}")
+        if not 0.0 < self.sigma_eps2 < math.inf:
+            raise ValueError(f"sigma_eps2 must be positive and finite, got {self.sigma_eps2}")
+        if not all(map(math.isfinite, (self.c,) + self.phi)):
+            raise ValueError(f"c and phi must be finite, got c={self.c}, phi={self.phi}")
         if not math.isclose(self.innovation.variance, self.sigma_eps2,
                             rel_tol=1e-9, abs_tol=1e-12):
             raise ValueError(
@@ -572,8 +574,8 @@ def det_spec_from_dict(obj: dict) -> DeterministicSpec:
     values = _json_object(obj, "det")
     K = values.pop("K", None)  # derived from freqs; checked when given
     spec = from_dict(DeterministicSpec, values, "det")
-    if "K" in obj and int(K) != spec.K:
-        raise ValueError(f"det spec K={K} does not match len(freqs)={spec.K}")
+    if "K" in obj and (isinstance(K, bool) or K != spec.K):
+        raise ValueError(f"det.K={K!r} must equal len(freqs)={spec.K}")
     return spec
 
 

@@ -5,6 +5,8 @@ The DFT uses the unitary normalization 1/sqrt(L), so energy is preserved
 pyramidal filter-bank scheme with periodic boundary extension, which keeps
 the analysis matrix W strictly orthogonal (W^T W = I) at every level, so
 synthesis is plain transposition and round-trips are exact to rounding.
+Window-length inputs (L <= 256) go through a cached orthogonal L x L matrix,
+and long series through the O(L) filter bank.
 
 A truncation operator keeps the first `keep` spectral bins as a compact
 optimization target; it is exactly invertible on inputs whose spectrum is
@@ -210,7 +212,7 @@ class WaveletCoeffs:
 
 @functools.lru_cache(maxsize=64)
 def _level_indices(L: int, taps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gathers of one level, cached for per-row callers: (2j + n) mod L and (m - k) mod L/2."""
+    """Gathers of one filter-bank level: (2j + n) mod L and (m - k) mod L/2."""
     M = L // 2
     return ((2 * np.arange(M)[:, None] + np.arange(taps)[None, :]) % L,
             (np.arange(M)[None, :] - np.arange(taps // 2)[:, None]) % M)
@@ -235,27 +237,18 @@ def _synthesis_step(a: np.ndarray, d: np.ndarray, h: np.ndarray, g: np.ndarray) 
     return np.swapaxes(terms.sum(axis=-3), -1, -2).reshape(a.shape[:-1] + (2 * M,))
 
 
-def dwt_forward(x: np.ndarray, wavelet: str = "haar", levels: int = 1) -> WaveletCoeffs:
-    """Pyramidal analysis of the last axis of (..., L) with periodic extension; O(L) per level."""
-    x = np.asarray(x, dtype=float)
-    if levels < 1:
-        raise ValueError(f"levels must be >= 1, got {levels}")
-    if x.ndim < 1 or x.shape[-1] < 1 or x.shape[-1] % (1 << levels):
-        raise ValueError(
-            f"input shape {x.shape} must end in a positive length divisible by 2^{levels}; "
-            f"pad the input (see pad_edge_pow2) or reduce the level count")
+def _filter_bank_forward(x: np.ndarray, wavelet: str, levels: int) -> np.ndarray:
+    """Pyramidal analysis of the last axis, O(L) per level: approximation, then details."""
     h, g = _filters(wavelet)
     approx = x
     details: list[np.ndarray] = []
     for _ in range(levels):
         approx, detail = _analysis_step(approx, h, g)
         details.append(detail)
-    return WaveletCoeffs(coeffs=np.concatenate([approx] + details[::-1], axis=-1),
-                         levels=levels, wavelet=wavelet)
+    return np.concatenate([approx] + details[::-1], axis=-1)
 
 
-def dwt_inverse(w: WaveletCoeffs) -> np.ndarray:
-    """Synthesis by transposition of the orthogonal analysis; exact inverse, shaped like w."""
+def _filter_bank_inverse(w: WaveletCoeffs) -> np.ndarray:
     h, g = _filters(w.wavelet)
     blocks = w.blocks()
     approx = blocks[f"a{w.levels}"]
@@ -264,9 +257,50 @@ def dwt_inverse(w: WaveletCoeffs) -> np.ndarray:
     return approx
 
 
+# Lengths up to this go through one product with the cached L x L operator, longer
+# ones through the filter bank, whose memory stays O(L); the measured crossover
+# (bench/transforms.py).
+_DENSE_MAX_LENGTH = 256
+
+
+@functools.lru_cache(maxsize=32)
+def _dwt_operator(length: int, wavelet: str, levels: int) -> np.ndarray:
+    """Read-only W^T, so that x @ op is the analysis of x: the filter bank applied to eye(L)."""
+    op = _filter_bank_forward(np.eye(length), wavelet, levels)
+    op.flags.writeable = False
+    return op
+
+
+def dwt_forward(x: np.ndarray, wavelet: str = "haar", levels: int = 1) -> WaveletCoeffs:
+    """Periodized analysis of the last axis of (..., L): one cached matrix product for
+    window lengths, the O(L)-per-level filter bank for long series."""
+    x = np.asarray(x, dtype=float)
+    if levels < 1:
+        raise ValueError(f"levels must be >= 1, got {levels}")
+    if x.ndim < 1 or x.shape[-1] < 1 or x.shape[-1] % (1 << levels):
+        raise ValueError(
+            f"input shape {x.shape} must end in a positive length divisible by 2^{levels}; "
+            f"pad the input (see pad_edge_pow2) or reduce the level count")
+    L = x.shape[-1]
+    if L <= _DENSE_MAX_LENGTH:
+        coeffs = (x.reshape(-1, L) @ _dwt_operator(L, wavelet, levels)).reshape(x.shape)
+    else:
+        coeffs = _filter_bank_forward(x, wavelet, levels)
+    return WaveletCoeffs(coeffs=coeffs, levels=levels, wavelet=wavelet)
+
+
+def dwt_inverse(w: WaveletCoeffs) -> np.ndarray:
+    """Synthesis by transposition of the orthogonal analysis; exact inverse, shaped like w."""
+    L = w.length
+    if L <= _DENSE_MAX_LENGTH:
+        op = _dwt_operator(L, w.wavelet, w.levels)
+        return (w.coeffs.reshape(-1, L) @ op.T).reshape(w.coeffs.shape)
+    return _filter_bank_inverse(w)
+
+
 def dwt_matrix(length: int, wavelet: str = "haar", levels: int = 1) -> np.ndarray:
-    """Materialize the analysis matrix W (rows map x to coefficients)."""
-    return dwt_forward(np.eye(length), wavelet, levels).coeffs.T
+    """Materialize the analysis matrix W (rows map x to coefficients) as a writable copy."""
+    return dwt_forward(np.eye(length), wavelet, levels).coeffs.T.copy()
 
 
 def pad_edge_pow2(x: np.ndarray) -> tuple[np.ndarray, int]:

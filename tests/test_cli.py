@@ -179,6 +179,31 @@ class TestNonFiniteInput:
         assert captured.out == ""
         assert f"non-finite number {bad} in {src}" in captured.err
 
+    @pytest.mark.parametrize("flags,name", [
+        (("--phi", "0.5", "--sigma-eps2", "inf"), "sigma_eps2"),
+        (("--phi", "0.5", "--sigma-eps2", "nan"), "sigma_eps2"),
+        (("--phi", "nan"), "phi"),
+        (("--phi", "0.5", "inf"), "phi"),
+    ], ids=["sigma_eps2-inf", "sigma_eps2-nan", "phi-nan", "phi-inf"])
+    def test_eob_flags_rejected_by_name(self, flags, name, capsys):
+        assert run_cli("eob", *flags, "--T", "10") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert name in captured.err and "finite" in captured.err
+
+
+class TestDetK:
+    @pytest.mark.parametrize("K", [None, 2.5, "1", True, 2])
+    def test_bad_K_exits_1_naming_it(self, K, tmp_path, capsys):
+        doc = json.loads(json.dumps(PROCESS_SPEC))
+        doc["det"]["K"] = K
+        src = tmp_path / "spec.json"
+        src.write_text(json.dumps(doc))
+        assert run_cli("generate", "--spec", str(src), "--out", str(tmp_path / "x.csv")) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "det.K" in captured.err
+
 
 class TestLossCheck:
     @pytest.mark.parametrize("instances,lengths", [("100", "8,32,128"), ("2", "8,16,32")])

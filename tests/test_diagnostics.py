@@ -224,3 +224,21 @@ class TestSlidingWindows:
     def test_too_short_rejected(self):
         with pytest.raises(ValueError, match="windows"):
             sliding_windows(np.arange(3.0), 5)
+
+    @pytest.mark.parametrize("window,stride", [(4, 1), (4, 2), (4, 3), (11, 1), (11, 2)])
+    def test_matches_index_gather(self, window, stride, rng):
+        series = rng.normal(size=11)
+        n = series.size - window + 1
+        idx = np.arange(0, n, stride)[:, None] + np.arange(window)[None, :]
+        np.testing.assert_array_equal(sliding_windows(series, window, stride), series[idx])
+
+    def test_result_owns_its_data(self):
+        series = np.arange(8.0)
+        w = sliding_windows(series, 3, 2)
+        w[0, 1] = -1.0
+        np.testing.assert_array_equal(series, np.arange(8.0))
+        assert w.flags.owndata and w.flags.writeable
+
+    def test_zero_stride_rejected(self):
+        with pytest.raises(ValueError, match="stride"):
+            sliding_windows(np.arange(6.0), 3, 0)

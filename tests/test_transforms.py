@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from eobkit import transforms
 from eobkit.transforms import (AmpPhase, Spectrum, WaveletCoeffs, compress_truncate,
                                dft_forward, dft_inverse, dwt_forward, dwt_inverse,
                                dwt_matrix, from_amp_phase, inverse_pad, pad_edge_pow2,
@@ -232,6 +233,64 @@ def test_dwt_round_trip_property(levels_pow, seed):
     for wavelet in ("haar", "db2"):
         w = dwt_forward(x, wavelet, levels_pow)
         assert np.max(np.abs(dwt_inverse(w) - x)) < 1e-10
+
+
+@st.composite
+def dwt_cases(draw):
+    levels = draw(st.integers(min_value=1, max_value=4))
+    length = draw(st.integers(min_value=1, max_value=512 >> levels)) << levels
+    return (draw(st.sampled_from(["haar", "db2"])), levels, length,
+            draw(st.sampled_from([(), (3,), (2, 3)])),
+            draw(st.integers(min_value=0, max_value=2**32 - 1)))
+
+
+@given(dwt_cases())
+@example(("db2", 4, 256, (3,), 0))
+@example(("db2", 4, 272, (2, 3), 1))
+@example(("haar", 1, 512, (), 2))
+@settings(max_examples=40, deadline=None)
+def test_dense_operator_matches_filter_bank(case):
+    wavelet, levels, length, batch, seed = case
+    rng = np.random.default_rng(seed)
+    x, c = rng.normal(size=batch + (length,)), rng.normal(size=batch + (length,))
+    op = transforms._dwt_operator(length, wavelet, levels)
+    bank = transforms._filter_bank_forward(x, wavelet, levels)
+    np.testing.assert_allclose(x @ op, bank, rtol=0, atol=1e-12 * np.max(np.abs(x)))
+    np.testing.assert_allclose(dwt_forward(x, wavelet, levels).coeffs, bank,
+                               rtol=0, atol=1e-12 * np.max(np.abs(x)))
+    w = WaveletCoeffs(c, levels, wavelet)
+    bank_inv = transforms._filter_bank_inverse(w)
+    np.testing.assert_allclose(c @ op.T, bank_inv, rtol=0, atol=1e-12 * np.max(np.abs(c)))
+    np.testing.assert_allclose(dwt_inverse(w), bank_inv, rtol=0, atol=1e-12 * np.max(np.abs(c)))
+
+
+@pytest.mark.parametrize("length", [64, 512])
+def test_mutating_results_leaves_later_calls_unchanged(length, rng):
+    x = rng.normal(size=(2, length))
+    first = dwt_forward(x, "db2", 3)
+    expected, matrix = first.coeffs.copy(), dwt_matrix(length, "db2", 3)
+    first.coeffs.flags.writeable = True
+    first.coeffs[...] = 7.0
+    dwt_inverse(first)[...] = 7.0
+    dwt_matrix(length, "db2", 3)[...] = 7.0
+    np.testing.assert_array_equal(dwt_forward(x, "db2", 3).coeffs, expected)
+    np.testing.assert_array_equal(dwt_matrix(length, "db2", 3), matrix)
+    np.testing.assert_allclose(dwt_inverse(WaveletCoeffs(expected, 3, "db2")), x,
+                               rtol=0, atol=1e-10)
+
+
+def test_long_series_build_no_operator(rng):
+    transforms._dwt_operator.cache_clear()
+    x = rng.normal(size=(2, 1024))
+    np.testing.assert_allclose(dwt_inverse(dwt_forward(x, "db2", 3)), x, rtol=0, atol=1e-10)
+    assert transforms._dwt_operator.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("wavelet", ["haar", "db2"])
+@pytest.mark.parametrize("length", [256, 512])
+def test_matrix_orthogonal_on_both_paths(wavelet, length):
+    W = dwt_matrix(length, wavelet, 4)
+    assert np.max(np.abs(W.T @ W - np.eye(length))) < 1e-10
 
 
 @given(st.integers(min_value=1, max_value=200), st.integers(min_value=0, max_value=2**32 - 1))
