@@ -1,14 +1,16 @@
-"""Layer benchmark for the DWT: time per call against window length L and rows.
+"""Layer benchmark for the DFT and the DWT: time per call against window length L and rows.
 
     python bench/transforms.py                                  # this checkout, run "head"
     python bench/transforms.py --src ../other/src --label parent
 
-Times `dwt_forward` and `dwt_inverse` (db2, 2 levels, as the benchmark's
-wavelet workloads use) on a (rows, L) block of normal draws, for
-L = 32, 64, ..., 2048 and rows = 1 (a 1-d input) or 128. Window lengths up
-to 256 go through one product with a cached L x L operator and longer ones
-through the O(L) filter bank. `dense_forward` and `dense_inverse` time that
-product alone at every L, with the operator built beforehand from
+Times `dft_forward` and `dft_inverse`, and `dwt_forward` and `dwt_inverse`
+(db2, 2 levels, as the benchmark's wavelet workloads use), on a (rows, L)
+block of normal draws, for L = 32, 64, ..., 2048 and rows = 1 (a 1-d input)
+or 128. A package whose DFT takes one 1-d row at a time (a `Spectrum` in
+and out) is timed on the block as a loop over its rows. DWT window lengths
+up to 256 go through one product with a cached L x L operator and longer
+ones through the O(L) filter bank. `dense_forward` and `dense_inverse` time
+that product alone at every L, with the operator built beforehand from
 `dwt_matrix`, so one run shows where the dense product stops paying.
 
 Each figure is the median of five calls, after one untimed warm-up call.
@@ -34,6 +36,18 @@ ROWS = (1, 128)
 WAVELET, LEVELS = "db2", 2
 
 
+def dft_calls(transforms, x) -> dict:
+    """Forward and inverse DFT of the rows of x, as the package under test offers them."""
+    if not hasattr(transforms, "Spectrum"):
+        f = transforms.dft_forward(x)
+        return {"dft_forward": lambda: transforms.dft_forward(x),
+                "dft_inverse": lambda: transforms.dft_inverse(f)}
+    rows = x.reshape(-1, x.shape[-1])
+    spectra = [transforms.dft_forward(row) for row in rows]
+    return {"dft_forward": lambda: [transforms.dft_forward(row) for row in rows],
+            "dft_inverse": lambda: [transforms.dft_inverse(f) for f in spectra]}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -57,6 +71,7 @@ def main(argv: list[str] | None = None) -> int:
             w = transforms.dwt_forward(x, WAVELET, LEVELS)
             op = np.ascontiguousarray(transforms.dwt_matrix(L, WAVELET, LEVELS).T)
             timed = {
+                **dft_calls(transforms, x),
                 "dwt_forward": lambda: transforms.dwt_forward(x, WAVELET, LEVELS),
                 "dwt_inverse": lambda: transforms.dwt_inverse(w),
                 "dense_forward": lambda: x @ op,

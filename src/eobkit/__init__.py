@@ -17,9 +17,8 @@ from .theory import (CorrMatrix, EobReport, NotPositiveDefiniteError,
                      eob_ar_closed_form, eob_gmm_lower_bound, eob_mgm,
                      snr_to_ssnr, solve_yule_walker, ssnr_to_snr,
                      szego_convergence_curve, verify_determinant_decomposition)
-from .transforms import (AmpPhase, Spectrum, WaveletCoeffs, compress_truncate,
-                         dft_forward, dft_inverse, dwt_forward, dwt_inverse,
-                         from_amp_phase, inverse_pad, to_amp_phase)
+from .transforms import (WaveletCoeffs, dft_forward, dft_inverse, dwt_forward,
+                         dwt_inverse, truncate_spectrum)
 from .losses import (EmaMagnitudes, HarmonizedConfig, LossEval, freq_amp_phase,
                      freq_error_amp_phase, freq_real_imag_l1, freq_real_imag_l2,
                      harmonized_l1, harmonized_l2, temporal_l1, temporal_l2,

@@ -154,7 +154,7 @@ def _cmd_transform(args: argparse.Namespace) -> int:
     if args.kind == "dft":
         spec = transforms.dft_forward(series)
         rows = [["index", "re", "im"]]
-        rows += [[str(i), _fmt(r), _fmt(m)] for i, (r, m) in enumerate(zip(spec.re, spec.im))]
+        rows += [[str(i), _fmt(r), _fmt(m)] for i, (r, m) in enumerate(zip(spec.real, spec.imag))]
     else:
         coeffs = transforms.dwt_forward(series, args.wavelet, args.levels)
         rows = [["index", "band", "coeff"]]

@@ -21,10 +21,10 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from . import losses
+from . import losses, transforms
 from .diagnostics import SurfacePoint, _average_ranks, sliding_windows
 from .gradcheck import central_difference, relative_error
-from .processes import (ARSpec, DeterministicSpec, HybridSpec, make_rng,
+from .processes import (ARSpec, DeterministicSpec, HybridSpec, _cast, _int, make_rng,
                         synthesize_deterministic, synthesize_hybrid)
 from .theory import solve_yule_walker
 
@@ -72,6 +72,7 @@ class ModelSpec:
     init_seed: int = 0
 
     def __post_init__(self):
+        _cast(self, input_len=_int, output_len=_int, hidden=_int, init_seed=_int)
         if self.kind not in ("linear", "mlp1"):
             raise ValueError(f"kind must be 'linear' or 'mlp1', got {self.kind!r}")
         if self.activation not in ("tanh", "relu"):
@@ -101,6 +102,7 @@ class LossSpec:
     levels: int = 1
 
     def __post_init__(self):
+        _cast(self, levels=_int)
         if self.kind not in ("temporal", "harmonized"):
             raise ValueError(f"loss kind must be 'temporal' or 'harmonized', got {self.kind!r}")
         if self.norm not in ("l1", "l2"):
@@ -121,6 +123,7 @@ class TrainConfig:
     check_gradients: bool = True
 
     def __post_init__(self):
+        _cast(self, max_epochs=_int, patience=_int, batch_size=_int)
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError(f"optimizer must be 'sgd' or 'adam', got {self.optimizer!r}")
         if self.lr < 0.0:
@@ -148,8 +151,10 @@ class GridSpec:
     det_period: int = 128
 
     def __post_init__(self):
-        object.__setattr__(self, "ssnr_x_values", tuple(float(v) for v in self.ssnr_x_values))
-        object.__setattr__(self, "horizons", tuple(int(h) for h in self.horizons))
+        _cast(self, ssnr_x_values=lambda v: tuple(map(float, v)),
+              horizons=lambda v: tuple(map(_int, v)), history=_int, series_length=_int,
+              replications=_int, seed=_int, det_harmonics=_int, det_fmax=_int,
+              det_period=_int)
         if not self.ssnr_x_values or not self.horizons:
             raise ValueError("ssnr_x_values and horizons must be non-empty")
         if self.replications < 1:
@@ -576,8 +581,8 @@ def leakage_metrics(pred_windows: np.ndarray, true_windows: np.ndarray,
     error is the summed absolute amplitude gap on the tone bins, relative
     to the true in-band amplitude mass.
     """
-    pred_spec = np.fft.fft(np.atleast_2d(pred_windows), norm="ortho", axis=-1)
-    true_spec = np.fft.fft(np.atleast_2d(true_windows), norm="ortho", axis=-1)
+    pred_spec = transforms.dft_forward(np.atleast_2d(pred_windows))
+    true_spec = transforms.dft_forward(np.atleast_2d(true_windows))
     L = pred_spec.shape[-1]
     in_band = np.zeros(L, dtype=bool)
     in_band[list(tone_bins)] = True
@@ -650,7 +655,7 @@ def insight_experiment(K: int = 3, fmax: int = 15, n: int = 3072,
         leak, gap = leakage_metrics(pred, Y_te, tone_bins)
         leakage[name] = leak
         amp_err[name] = gap
-        mean_amp = np.abs(np.fft.fft(pred, norm="ortho", axis=-1)).mean(axis=0)
+        mean_amp = np.abs(transforms.dft_forward(pred)).mean(axis=0)
         mean_amp[0] = 0.0  # ignore any DC offset when ranking tone bins
         dominant[name] = int(np.argmax(mean_amp[:horizon // 2 + 1]))
     return InsightReport(tone_freqs=freqs, tone_bins=tone_bins, leakage=leakage,

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import losses
 from .processes import make_rng
+from .transforms import dft_inverse
 
 __all__ = ["GradCase", "GradCheckReport", "LOSS_CASES", "central_difference",
            "relative_error", "run_gradient_suite"]
@@ -92,7 +93,7 @@ def _time_margin_pair(rng: np.random.Generator, L: int) -> tuple[np.ndarray, np.
 def _spectral_margin_pair(rng: np.random.Generator, L: int) -> tuple[np.ndarray, np.ndarray]:
     """Error spectrum bounded away from zero per re/im part (spectral kinks)."""
     x_hat = rng.normal(size=L)
-    e = np.fft.ifft(_hermitian_margin_spectrum(rng, L), norm="ortho").real
+    e = dft_inverse(_hermitian_margin_spectrum(rng, L))
     return x_hat + e, x_hat
 
 
@@ -106,8 +107,8 @@ def _polar_margin_pair(rng: np.random.Generator, L: int) -> tuple[np.ndarray, np
     # real bins carry an amplitude-only gap; their phase is locally constant
     real_hat = rng.uniform(0.5, 1.5, size=real.size)
     real_amp = real_hat + rng.uniform(0.15, 0.3, size=real.size)
-    x_hat = np.fft.ifft(_hermitian(L, amp_hat * np.exp(1j * phase_hat), real_hat), norm="ortho").real
-    x = np.fft.ifft(_hermitian(L, amp * np.exp(1j * phase), real_amp), norm="ortho").real
+    x_hat = dft_inverse(_hermitian(L, amp_hat * np.exp(1j * phase_hat), real_hat))
+    x = dft_inverse(_hermitian(L, amp * np.exp(1j * phase), real_amp))
     return x, x_hat
 
 

@@ -13,17 +13,21 @@ Conventions shared by every loss here:
   factor that blows up on empty bins.
 
 Gradients of coefficient-domain losses are pulled back to the temporal
-domain through the transform adjoint: for the unitary DFT that is the
-real part of the inverse transform applied to the coefficient gradient
+domain through the transform adjoint: for the unitary DFT that is
+`transforms.dft_inverse` applied to the coefficient gradient
 (d/dRe + j*d/dIm), and for orthogonal real transforms it is the inverse
 transform itself.
 
 All functions act on the last axis of (..., L) arrays and return values per
 row; the caller reduces over rows. The target broadcasts to the
 prediction's shape (same last axis), so one series is scored against a
-batch or a stack of finite-difference probes in one call and transformed
-once. Values are computed at once and gradients on first access, so a
-caller that reads only values never runs the pullback.
+batch or a stack of finite-difference probes in one call. The transforms
+are linear, so the losses on coefficient differences (real/imaginary,
+harmonized, whitened) transform the residual x - x_hat once; only the
+amplitude/phase losses, which are nonlinear in the coefficients, transform
+the target and the prediction apart. Values are computed at once and
+gradients on first access, so a caller that reads only values never runs
+the pullback.
 """
 
 from __future__ import annotations
@@ -161,19 +165,10 @@ def _check_lengths(x: np.ndarray, x_hat: np.ndarray) -> tuple[np.ndarray, np.nda
     return x, x_hat
 
 
-def _dft(x: np.ndarray) -> np.ndarray:
-    return np.fft.fft(x, norm="ortho", axis=-1)
-
-
-def _dft_pullback(g: np.ndarray) -> np.ndarray:
-    # adjoint of x -> fft(x) restricted to real inputs: Re(U^H g)
-    return np.fft.ifft(g, norm="ortho", axis=-1).real
-
-
 def _forward_coeffs(x: np.ndarray, cfg: HarmonizedConfig) -> np.ndarray:
     """Coefficients of x under cfg.transform: complex for dft, real otherwise."""
     if cfg.transform == "dft":
-        return _dft(x)
+        return transforms.dft_forward(x)
     if cfg.transform == "dwt":
         return transforms.dwt_forward(x, cfg.wavelet, cfg.levels).coeffs
     return x
@@ -181,7 +176,7 @@ def _forward_coeffs(x: np.ndarray, cfg: HarmonizedConfig) -> np.ndarray:
 
 def _pullback(g: np.ndarray, cfg: HarmonizedConfig) -> np.ndarray:
     if cfg.transform == "dft":
-        return _dft_pullback(g)
+        return transforms.dft_inverse(g)
     if cfg.transform == "dwt":
         return transforms.dwt_inverse(transforms.WaveletCoeffs(g, cfg.levels, cfg.wavelet))
     return g
@@ -222,9 +217,9 @@ def freq_real_imag_l2(x: np.ndarray, x_hat: np.ndarray) -> LossEval:
     here so the equivalence is observable rather than assumed.
     """
     x, x_hat = _check_lengths(x, x_hat)
-    d = _dft(x) - _dft(x_hat)
+    d = transforms.dft_forward(x - x_hat)
     value = np.sum(d.real**2 + d.imag**2, axis=-1)
-    return LossEval(value=value, _grad_fn=lambda: _dft_pullback(-2.0 * d))
+    return LossEval(value=value, _grad_fn=lambda: transforms.dft_inverse(-2.0 * d))
 
 
 def freq_real_imag_l1(x: np.ndarray, x_hat: np.ndarray) -> LossEval:
@@ -235,9 +230,9 @@ def freq_real_imag_l1(x: np.ndarray, x_hat: np.ndarray) -> LossEval:
     objective.
     """
     x, x_hat = _check_lengths(x, x_hat)
-    d = _dft(x) - _dft(x_hat)
+    d = transforms.dft_forward(x - x_hat)
     value = np.sum(np.abs(d.real) + np.abs(d.imag), axis=-1)
-    return LossEval(value=value, _grad_fn=lambda: _dft_pullback(
+    return LossEval(value=value, _grad_fn=lambda: transforms.dft_inverse(
         -(np.sign(d.real) + 1j * np.sign(d.imag))))
 
 
@@ -269,8 +264,8 @@ def freq_amp_phase(x: np.ndarray, x_hat: np.ndarray, norm: str = "l2",
     if norm not in ("l1", "l2"):
         raise ValueError(f"norm must be 'l1' or 'l2', got {norm!r}")
     x, x_hat = _check_lengths(x, x_hat)
-    amp, phase = _amp_phase_of(_dft(x))
-    amp_hat, phase_hat = _amp_phase_of(_dft(x_hat))
+    amp, phase = _amp_phase_of(transforms.dft_forward(x))
+    amp_hat, phase_hat = _amp_phase_of(transforms.dft_forward(x_hat))
     amp_diff = amp - amp_hat
     alive = amp_hat >= eps
     phase_diff = np.where(alive, _wrap_phase(phase - phase_hat), 0.0)
@@ -279,13 +274,14 @@ def freq_amp_phase(x: np.ndarray, x_hat: np.ndarray, norm: str = "l2",
 
     def amp_grad() -> np.ndarray:
         de_damp = -2.0 * amp_diff if norm == "l2" else -np.sign(amp_diff)
-        return _dft_pullback(de_damp * (np.cos(phase_hat) + 1j * np.sin(phase_hat)))
+        return transforms.dft_inverse(de_damp * (np.cos(phase_hat) + 1j * np.sin(phase_hat)))
 
     def phase_grad() -> np.ndarray:
         de_dphase = -2.0 * phase_diff if norm == "l2" else -np.sign(phase_diff)
         inv_amp = np.where(alive, 1.0 / np.where(alive, amp_hat, 1.0), 0.0)
         # d(phase_hat)/d(re, im) = (-sin, cos)/amp_hat
-        return _dft_pullback(de_dphase * inv_amp * (-np.sin(phase_hat) + 1j * np.cos(phase_hat)))
+        return transforms.dft_inverse(
+            de_dphase * inv_amp * (-np.sin(phase_hat) + 1j * np.cos(phase_hat)))
 
     return _sum_of_parts({"amplitude": LossEval(value=amp_value, _grad_fn=amp_grad),
                           "phase": LossEval(value=phase_value, _grad_fn=phase_grad)})
@@ -305,7 +301,7 @@ def freq_error_amp_phase(x: np.ndarray, x_hat: np.ndarray, norm: str = "l2",
     if norm not in ("l1", "l2"):
         raise ValueError(f"norm must be 'l1' or 'l2', got {norm!r}")
     x, x_hat = _check_lengths(x, x_hat)
-    fe = _dft(x - x_hat)
+    fe = transforms.dft_forward(x - x_hat)
     err_amp, err_phase = _amp_phase_of(fe)
     alive = err_amp >= eps
     phase_term = np.where(alive, err_phase, 0.0)
@@ -315,14 +311,14 @@ def freq_error_amp_phase(x: np.ndarray, x_hat: np.ndarray, norm: str = "l2",
     def amp_grad() -> np.ndarray:
         if norm == "l2":
             # identical to the temporal squared error; gradient -2(x - x_hat)
-            return -_dft_pullback(2.0 * fe)
-        return -_dft_pullback(np.where(alive, np.exp(1j * err_phase), 0.0))
+            return -transforms.dft_inverse(2.0 * fe)
+        return -transforms.dft_inverse(np.where(alive, np.exp(1j * err_phase), 0.0))
 
     def phase_grad() -> np.ndarray:
         de_dphase = 2.0 * phase_term if norm == "l2" else np.sign(phase_term)
         inv_amp2 = np.where(alive, 1.0 / np.where(alive, err_amp**2, 1.0), 0.0)
         # d(err_phase)/d(fe) = (-Im fe, Re fe)/|fe|^2 and d(fe)/d(x_hat) = -U
-        return -_dft_pullback(de_dphase * inv_amp2 * (-fe.imag + 1j * fe.real))
+        return -transforms.dft_inverse(de_dphase * inv_amp2 * (-fe.imag + 1j * fe.real))
 
     return _sum_of_parts({"error_amplitude": LossEval(value=amp_value, _grad_fn=amp_grad),
                           "error_phase": LossEval(value=phase_value, _grad_fn=phase_grad)})
@@ -340,9 +336,7 @@ def _check_ema(ema: EmaMagnitudes, n_bins: int) -> None:
 
 def _weighted_coeff_loss(x: np.ndarray, x_hat: np.ndarray, weights: np.ndarray,
                          norm: str, cfg: HarmonizedConfig) -> LossEval:
-    f = _forward_coeffs(x, cfg)
-    f_hat = _forward_coeffs(x_hat, cfg)
-    d = f - f_hat
+    d = _forward_coeffs(x - x_hat, cfg)
     pen = (_penalty(d.real, norm) + _penalty(d.imag, norm) if np.iscomplexobj(d)
            else _penalty(d, norm))
 

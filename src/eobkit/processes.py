@@ -18,6 +18,7 @@ parallel grids.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import MISSING, Field, asdict, dataclass, field, fields
 from typing import Union
 
@@ -36,8 +37,17 @@ def _cast(spec, **casts) -> None:
     for name, cast in casts.items():
         try:
             object.__setattr__(spec, name, cast(getattr(spec, name)))
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"{type(spec).__name__}.{name}: {exc}") from None
+
+
+def _int(value) -> int:
+    """Cast for integer fields that never rounds: 16 and 16.0 pass; 16.5, inf, nan, "16"
+    and booleans raise."""
+    if (isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value) or value != int(value)):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
 
 
 def make_rng(seed: SeedLike) -> np.random.Generator:
@@ -64,7 +74,7 @@ class Binomial:
     p: float
 
     def __post_init__(self):
-        _cast(self, n=int)
+        _cast(self, n=_int)
         if self.n < 1:
             raise ValueError(f"binomial requires n >= 1, got n={self.n}")
         if not 0.0 < self.p <= 1.0:
@@ -334,8 +344,8 @@ class DeterministicSpec:
     period: int
 
     def __post_init__(self):
-        _cast(self, base_amplitude=float, freqs=lambda v: tuple(map(int, v)),
-              phases=lambda v: tuple(map(float, v)), period=int)
+        _cast(self, base_amplitude=float, freqs=lambda v: tuple(map(_int, v)),
+              phases=lambda v: tuple(map(float, v)), period=_int)
         if len(self.freqs) == 0:
             raise ValueError("at least one harmonic frequency is required")
         if len(self.freqs) != len(self.phases):
@@ -384,7 +394,7 @@ class HybridSpec:
     length: int
 
     def __post_init__(self):
-        _cast(self, length=int)
+        _cast(self, length=_int)
         if self.length < 0:
             raise ValueError(f"length must be >= 0, got {self.length}")
 

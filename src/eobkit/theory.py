@@ -204,8 +204,13 @@ def corr_matrix_from_ar(spec: ARSpec, T: int) -> CorrMatrix:
 
 
 def _toeplitz(rho: np.ndarray) -> np.ndarray:
-    """Symmetric Toeplitz matrix R_ij = rho_{|i-j|}."""
-    return rho[np.abs(np.subtract.outer(np.arange(rho.size), np.arange(rho.size)))]
+    """Symmetric Toeplitz matrix R_ij = rho_{|i-j|}.
+
+    Row i is the length-n window of (rho_{n-1}, ..., rho_1, rho_0, ..., rho_{n-1})
+    that starts at n-1-i: the windows of a sliding view in reverse order, copied.
+    """
+    mirrored = np.concatenate([rho[:0:-1], rho])
+    return np.lib.stride_tricks.sliding_window_view(mirrored, rho.size)[::-1].copy()
 
 
 # ---------------------------------------------------------------------------

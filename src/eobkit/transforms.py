@@ -1,16 +1,22 @@
 """Unitary DFT and orthogonal DWT with exact inverses.
 
-The DFT uses the unitary normalization 1/sqrt(L), so energy is preserved
-(Parseval) and the inverse is the conjugate transpose. The DWT is the
-pyramidal filter-bank scheme with periodic boundary extension, which keeps
-the analysis matrix W strictly orthogonal (W^T W = I) at every level, so
-synthesis is plain transposition and round-trips are exact to rounding.
-Window-length inputs (L <= 256) go through a cached orthogonal L x L matrix,
-and long series through the O(L) filter bank.
+Both act on the last axis of (..., L) arrays, so one call transforms a
+batch of windows. The DFT returns complex coefficients with the unitary
+normalization 1/sqrt(L), so energy is preserved (Parseval); its inverse
+keeps the real part, which is also the adjoint that pulls coefficient
+gradients back to real signals.
 
-A truncation operator keeps the first `keep` spectral bins as a compact
-optimization target; it is exactly invertible on inputs whose spectrum is
-supported there, and reports the discarded energy otherwise.
+The DWT is the pyramidal filter-bank scheme with periodic boundary
+extension, which keeps the analysis matrix W strictly orthogonal
+(W^T W = I) at every level, so synthesis is plain transposition and
+round-trips are exact to rounding. Window-length inputs (L <= 256) go
+through a cached orthogonal L x L matrix, and long series through the O(L)
+filter bank.
+
+Spectral truncation keeps the first `keep` DFT bins as a compact
+optimization target: it returns the zero-filled spectrum, which is exactly
+invertible on inputs whose spectrum is supported there, and the energy it
+discarded.
 """
 
 from __future__ import annotations
@@ -22,93 +28,37 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "AmpPhase",
-    "Compressed",
-    "Spectrum",
     "WaveletCoeffs",
     "WAVELET_FILTERS",
-    "compress_truncate",
     "dft_forward",
     "dft_inverse",
     "dwt_forward",
     "dwt_inverse",
     "dwt_matrix",
-    "from_amp_phase",
-    "inverse_pad",
     "pad_edge_pow2",
     "real_fourier_coordinates",
-    "to_amp_phase",
+    "truncate_spectrum",
 ]
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Complex spectrum stored as separate real and imaginary vectors."""
-
-    re: np.ndarray
-    im: np.ndarray
-
-    def __post_init__(self):
-        re = np.array(self.re, dtype=float)
-        im = np.array(self.im, dtype=float)
-        if re.ndim != 1 or re.shape != im.shape:
-            raise ValueError(f"re and im must be 1-d and equal length, got {re.shape} vs {im.shape}")
-        re.flags.writeable = False
-        im.flags.writeable = False
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
-
-    @property
-    def length(self) -> int:
-        return self.re.shape[0]
-
-    def as_complex(self) -> np.ndarray:
-        return self.re + 1j * self.im
-
-    @classmethod
-    def from_complex(cls, values: np.ndarray) -> "Spectrum":
-        values = np.asarray(values, dtype=complex)
-        return cls(re=values.real, im=values.imag)
-
-    def energy(self) -> float:
-        return float(np.sum(self.re**2 + self.im**2))
-
-
-@dataclass(frozen=True)
-class AmpPhase:
-    """Polar form: amplitude >= 0, phase in (-pi, pi], zero bins get phase 0."""
-
-    amp: np.ndarray
-    phase: np.ndarray
-
-    def __post_init__(self):
-        amp = np.array(self.amp, dtype=float)
-        phase = np.array(self.phase, dtype=float)
-        if amp.shape != phase.shape or amp.ndim != 1:
-            raise ValueError("amp and phase must be 1-d and equal length")
-        if np.any(amp < 0.0):
-            raise ValueError("amplitudes must be non-negative")
-        amp.flags.writeable = False
-        phase.flags.writeable = False
-        object.__setattr__(self, "amp", amp)
-        object.__setattr__(self, "phase", phase)
-
-
-def dft_forward(x: np.ndarray) -> Spectrum:
-    """Unitary DFT: f_k = (1/sqrt(L)) sum_l x_l exp(-2i*pi*k*l/L)."""
+def dft_forward(x: np.ndarray) -> np.ndarray:
+    """Unitary DFT of the last axis of (..., L): f_k = (1/sqrt(L)) sum_l x_l exp(-2i*pi*k*l/L)."""
     x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.shape[0] < 1:
-        raise ValueError(f"input must be a non-empty 1-d vector, got shape {x.shape}")
-    return Spectrum.from_complex(np.fft.fft(x, norm="ortho"))
+    if x.ndim < 1 or x.shape[-1] < 1:
+        raise ValueError(f"input shape {x.shape} must end in a positive length")
+    return np.fft.fft(x, norm="ortho", axis=-1)
 
 
-def dft_inverse(f: Spectrum) -> np.ndarray:
-    """Conjugate-transpose inverse; returns the real part.
+def dft_inverse(f: np.ndarray) -> np.ndarray:
+    """Real part of the inverse unitary DFT of the last axis.
 
-    For spectra of real signals (conjugate symmetric) the imaginary
-    residue is at rounding level.
+    On spectra of real signals (conjugate symmetric) this is the exact
+    inverse, with an imaginary residue at rounding level. For any complex f
+    it is also the adjoint of dft_forward on real inputs,
+    Re<dft_forward(x), f> = <x, dft_inverse(f)>, so it pulls coefficient
+    gradients (d/dRe + j*d/dIm) back to the temporal domain.
     """
-    return np.fft.ifft(f.as_complex(), norm="ortho").real
+    return np.fft.ifft(f, norm="ortho", axis=-1).real
 
 
 def real_fourier_coordinates(x: np.ndarray) -> np.ndarray:
@@ -120,32 +70,12 @@ def real_fourier_coordinates(x: np.ndarray) -> np.ndarray:
     spectrum, this drops no axes and duplicates none, so correlation
     diagnostics of raw and transformed windows are directly comparable.
     """
-    x = np.asarray(x, dtype=float)
-    L = x.shape[-1]
-    if L < 1:
-        raise ValueError("input rows must be non-empty")
-    f = np.fft.fft(x, norm="ortho", axis=-1)
+    f = dft_forward(x)
+    L = f.shape[-1]
     upper = (L + 1) // 2
-    parts = [f.real[..., :1]]
-    if upper > 1:
-        parts.append(_SQRT2 * f.real[..., 1:upper])
-    if L % 2 == 0 and L > 1:
-        parts.append(f.real[..., L // 2:L // 2 + 1])
-    if upper > 1:
-        parts.append(_SQRT2 * f.imag[..., 1:upper])
-    return np.concatenate(parts, axis=-1)
-
-
-def to_amp_phase(f: Spectrum) -> AmpPhase:
-    amp = np.hypot(f.re, f.im)
-    phase = np.arctan2(f.im, f.re)
-    phase[phase == -math.pi] = math.pi
-    phase[amp == 0.0] = 0.0
-    return AmpPhase(amp=amp, phase=phase)
-
-
-def from_amp_phase(ap: AmpPhase) -> Spectrum:
-    return Spectrum(re=ap.amp * np.cos(ap.phase), im=ap.amp * np.sin(ap.phase))
+    nyquist = f.real[..., L // 2:L // 2 + 1 - L % 2]  # empty for odd L
+    return np.concatenate([f.real[..., :1], _SQRT2 * f.real[..., 1:upper], nyquist,
+                           _SQRT2 * f.imag[..., 1:upper]], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -322,44 +252,20 @@ def pad_edge_pow2(x: np.ndarray) -> tuple[np.ndarray, int]:
 # Spectral truncation (compact optimization targets)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Compressed:
-    """Truncated spectrum plus what is needed to invert and audit it."""
+def truncate_spectrum(f: np.ndarray, keep: int) -> tuple[np.ndarray, np.ndarray]:
+    """Keep the first `keep` bins of the last axis and zero the rest.
 
-    spectrum: Spectrum
-    original_length: int
-    discarded_energy: float
-    total_energy: float
-
-    @property
-    def discarded_fraction(self) -> float:
-        if self.total_energy == 0.0:
-            return 0.0
-        return self.discarded_energy / self.total_energy
-
-
-def compress_truncate(f: Spectrum, keep: int) -> Compressed:
-    """Keep the first `keep` spectral bins; report the energy thrown away.
-
-    Inversion (inverse_pad) zero-fills the dropped bins, so by Parseval the
-    reconstruction error equals the discarded energy: zero exactly when the
-    input spectrum is supported on the kept bins, and reported otherwise.
+    Returns the zero-filled spectrum and the energy of the dropped bins (per
+    row, a float for 1-d input), which is the squared distance between the
+    two spectra: zero exactly when the spectrum is supported on the kept
+    bins. A real signal's bin L-k mirrors its bin k, so on real input the
+    truncation is exact only when it keeps every nonzero bin and its mirror.
     """
-    if keep < 1:
-        raise ValueError(f"keep must be >= 1, got {keep}")
-    if keep > f.length:
-        raise ValueError(f"keep={keep} exceeds spectrum length {f.length}")
-    total = f.energy()
-    kept = Spectrum(re=f.re[:keep], im=f.im[:keep])
-    return Compressed(spectrum=kept, original_length=f.length,
-                      discarded_energy=total - kept.energy(), total_energy=total)
-
-
-def inverse_pad(c: Compressed) -> Spectrum:
-    """Zero-pad a truncated spectrum back to its original length."""
-    re = np.zeros(c.original_length)
-    im = np.zeros(c.original_length)
-    keep = c.spectrum.length
-    re[:keep] = c.spectrum.re
-    im[:keep] = c.spectrum.im
-    return Spectrum(re=re, im=im)
+    f = np.asarray(f)
+    bins = f.shape[-1] if f.ndim else 0
+    if not 1 <= keep <= bins:
+        raise ValueError(f"keep must lie in 1..{bins} (the spectrum's bins), got {keep}")
+    kept = np.zeros_like(f)
+    kept[..., :keep] = f[..., :keep]
+    dropped = f[..., keep:]
+    return kept, np.sum(dropped.real**2 + dropped.imag**2, axis=-1)

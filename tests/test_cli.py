@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import eobkit
-from eobkit.cli import _parse_experiment_config, main
+from eobkit.cli import _fmt, _parse_experiment_config, main
 from eobkit.experiments import GridSpec, ModelSpec
 from eobkit.processes import hybrid_spec_from_dict
 from test_experiments import tiny_grid
@@ -127,6 +127,15 @@ class TestTransform:
         assert lines[0] == "index,re,im"
         assert [line.split(",")[1] for line in lines[1:]] == ["0.5"] * 4
 
+    def test_dft_rows_are_the_unitary_fft(self, tmp_path, capsys):
+        x = np.random.default_rng(5).normal(size=37)
+        src = tmp_path / "x.csv"
+        src.write_text("value\n" + "\n".join(repr(float(v)) for v in x) + "\n")
+        assert run_cli("transform", "--input", str(src), "--kind", "dft") == 0
+        f = np.fft.fft(x, norm="ortho")
+        expected = ["index,re,im"] + [f"{k},{_fmt(v.real)},{_fmt(v.imag)}" for k, v in enumerate(f)]
+        assert capsys.readouterr().out.splitlines() == expected
+
     def test_dwt_haar(self, tmp_path, capsys):
         src = tmp_path / "x.csv"
         src.write_text("value\n1.0\n1.0\n1.0\n1.0\n")
@@ -203,6 +212,33 @@ class TestDetK:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "det.K" in captured.err
+
+
+class TestIntegerFields:
+    @pytest.mark.parametrize("section,key,bad", [
+        ("grid", "history", 16.5), ("grid", "horizons", [64.5]), ("grid", "replications", 1.5),
+        ("model", "hidden", 8.5), ("train", "batch_size", 64.5), ("loss", "levels", 1.5),
+    ])
+    def test_simulate_rejects_non_integral(self, section, key, bad, tmp_path, capsys):
+        doc = json.loads(json.dumps(GRID_CONFIG))
+        doc[section][key] = bad
+        src = tmp_path / "grid.json"
+        src.write_text(json.dumps(doc))
+        assert run_cli("simulate", "--grid", str(src)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert key in captured.err
+
+    @pytest.mark.parametrize("key,bad", [("freqs", [2.5]), ("period", 64.5)])
+    def test_det_rejects_non_integral(self, key, bad, tmp_path, capsys):
+        doc = json.loads(json.dumps(PROCESS_SPEC))
+        doc["det"][key] = bad
+        src = tmp_path / "spec.json"
+        src.write_text(json.dumps(doc))
+        assert run_cli("generate", "--spec", str(src), "--out", str(tmp_path / "x.csv")) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"DeterministicSpec.{key}" in captured.err
 
 
 class TestLossCheck:

@@ -11,7 +11,7 @@ from eobkit.experiments import (GradientCheckError, GridSpec, LinearModel, LossS
                                 chronological_split, evaluate_mse,
                                 insight_experiment, leakage_metrics, make_window_pairs,
                                 paradox_trend_test, run_grid, train_model)
-from eobkit.processes import ARSpec, Gaussian, from_dict, simulate_ar
+from eobkit.processes import ARSpec, DeterministicSpec, Gaussian, from_dict, simulate_ar
 
 
 def ar1(phi=0.6):
@@ -280,3 +280,29 @@ class TestLossSpecParsing:
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError, match=r"unknown field\(s\) in loss: \['bogus'\]"):
             from_dict(LossSpec, {"kind": "temporal", "bogus": 1}, "loss")
+
+
+class TestIntegerFields:
+    SPECS = {
+        "GridSpec.history": lambda v: GridSpec(history=v),
+        "GridSpec.horizons": lambda v: GridSpec(horizons=(v,)),
+        "GridSpec.seed": lambda v: GridSpec(seed=v),
+        "ModelSpec.input_len": lambda v: ModelSpec(input_len=v, output_len=4),
+        "TrainConfig.max_epochs": lambda v: TrainConfig(max_epochs=v),
+        "LossSpec.levels": lambda v: LossSpec(levels=v),
+        "DeterministicSpec.freqs": lambda v: DeterministicSpec(
+            base_amplitude=1.0, freqs=(v,), phases=(0.0,), period=64),
+    }
+
+    @pytest.mark.parametrize("field", SPECS)
+    @pytest.mark.parametrize("bad", [16.5, math.inf, math.nan, "16", True])
+    def test_non_integral_rejected_by_name(self, field, bad):
+        with pytest.raises(ValueError, match=rf"{field}: expected an integer"):
+            self.SPECS[field](bad)
+
+    @pytest.mark.parametrize("field", SPECS)
+    def test_integral_float_becomes_int(self, field):
+        spec = self.SPECS[field](16.0)
+        value = getattr(spec, field.split(".")[1])
+        value = value[0] if isinstance(value, tuple) else value
+        assert value == 16 and type(value) is int

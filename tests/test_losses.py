@@ -11,7 +11,7 @@ from eobkit.losses import (EmaMagnitudes, HarmonizedConfig, freq_amp_phase,
                            freq_error_amp_phase, freq_real_imag_l1, freq_real_imag_l2,
                            harmonized_l1, harmonized_l2, temporal_l1, temporal_l2,
                            update_ema, whitened_loss)
-from eobkit.transforms import dft_forward, dft_inverse, from_amp_phase, to_amp_phase
+from eobkit.transforms import dft_forward, dft_inverse
 
 
 class TestTemporal:
@@ -86,9 +86,8 @@ class TestAmpPhase:
     def test_amplitude_only_perturbation_has_zero_phase_term(self, rng):
         # scale the spectrum magnitudes of a real signal, keep phases
         x_hat = rng.normal(size=32)
-        ap = to_amp_phase(dft_forward(x_hat))
         scale = 1.0 + 0.4 * np.cos(2 * math.pi * np.arange(32) / 32)  # symmetric bins
-        x = dft_inverse(from_amp_phase(type(ap)(amp=ap.amp * scale, phase=ap.phase)))
+        x = dft_inverse(scale * dft_forward(x_hat))
         for norm in ("l1", "l2"):
             ev = freq_amp_phase(x, x_hat, norm)
             assert ev.parts["phase"].value < 1e-9
@@ -120,7 +119,7 @@ class TestErrorAmpPhase:
     def test_l1_whitener_unit_spectrum(self, rng):
         x, x_hat = rng.normal(size=32), rng.normal(size=32)
         grad = freq_error_amp_phase(x, x_hat, "l1").parts["error_amplitude"].grad_wrt_prediction
-        moduli = np.abs(np.fft.fft(grad, norm="ortho"))
+        moduli = np.abs(dft_forward(grad))
         np.testing.assert_allclose(moduli, 1.0, atol=1e-9)
 
 
@@ -328,6 +327,30 @@ class TestBroadcastTarget:
         loss = case.make_loss(rng, 8)
         with pytest.raises(ValueError, match="length mismatch"):
             loss(rng.normal(size=target_shape), rng.normal(size=pred_shape))
+
+
+_FLAT = EmaMagnitudes(f_bar=np.linspace(0.1, 2.0, 16), beta=0.3)
+
+
+@pytest.mark.parametrize("loss", [
+    freq_real_imag_l1,
+    freq_real_imag_l2,
+    lambda x, x_hat: harmonized_l1(x, x_hat, _FLAT, HarmonizedConfig(norm="l1")),
+    lambda x, x_hat: harmonized_l2(x, x_hat, _FLAT, HarmonizedConfig(norm="l2")),
+    lambda x, x_hat: whitened_loss(x, x_hat, _FLAT.f_bar, "l1"),
+], ids=["freq_real_imag_l1", "freq_real_imag_l2", "harmonized_l1", "harmonized_l2", "whitened"])
+def test_linear_losses_transform_the_residual_once(loss, monkeypatch, rng):
+    shapes = []
+    fft = np.fft.fft
+
+    def counting(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return fft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", counting)
+    ev = loss(rng.normal(size=16), rng.normal(size=(3, 16)))
+    ev.grad_wrt_prediction
+    assert shapes == [(3, 16)]
 
 
 class TestLazyGradient:
