@@ -5,6 +5,7 @@
 
 Times, for an AR(1) with phi = 0.9, at T = 16, 128, 512 and 2048:
 
+* `autocorrelations(spec, T-1)`: rho_0..rho_{T-1} alone;
 * `corr_matrix_from_ar(spec, T)`: autocorrelations, Toeplitz build, validation;
 * `eob_mgm(R)` on a matrix built beforehand: the determinant form;
 * `eob_ar_closed_form(spec, T)`: the autoregressive closed form;
@@ -52,6 +53,7 @@ def main(argv: list[str] | None = None) -> int:
     for T in SWEEP:
         R = theory.corr_matrix_from_ar(spec, T)
         timed = {
+            "autocorrelations": lambda: theory.autocorrelations(spec, T - 1),
             "corr_matrix_from_ar": lambda: theory.corr_matrix_from_ar(spec, T),
             "eob_mgm": lambda: theory.eob_mgm(R),
             "eob_ar_closed_form": lambda: theory.eob_ar_closed_form(spec, T),

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .processes import ARSpec, psi_weights
-from .theory import CorrMatrix, _toeplitz, solve_yule_walker
+from .theory import CorrMatrix, _levinson, solve_yule_walker
 
 __all__ = [
     "OrthoReport",
@@ -240,8 +240,9 @@ def inefficiency_ratio(mse_actual: float, mse_opt: float) -> float:
 def estimate_ssnr(series: np.ndarray, order: int = 1) -> float:
     """Sample estimate of marginal-to-innovation variance ratio.
 
-    Fits sample autocorrelations with an order-p linear predictor (the
-    sample analogue of the Yule-Walker system) and returns
+    Runs Durbin's recursion over the sample autocorrelations rho_hat_0..rho_hat_p
+    (the sample analogue of the Yule-Walker system) and returns 1 / v_p, the
+    inverse order-p prediction variance, which equals
     1 / (1 - sum_i phi_hat_i rho_hat_i). Order 1 suffices for first-order
     stochastic cores; periodic components need roughly two lags per tone
     to be counted as structure.
@@ -251,15 +252,11 @@ def estimate_ssnr(series: np.ndarray, order: int = 1) -> float:
         raise ValueError(f"order must be >= 1, got {order}")
     if x.shape[0] < 10 * (order + 1):
         raise ValueError(f"series too short ({x.shape[0]}) for order {order}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("series must be finite (found nan or inf)")
     x = x - x.mean()
     n = x.shape[0]
     gamma = np.array([float(np.dot(x[:n - k], x[k:])) / n for k in range(order + 1)])
     if gamma[0] <= 0.0:
         raise ValueError("series has zero variance")
-    rho = gamma / gamma[0]
-    phi_hat = np.linalg.solve(_toeplitz(rho[:order]), rho[1:order + 1])
-    denom = 1.0 - float(np.dot(phi_hat, rho[1:order + 1]))
-    if denom <= 0.0:
-        raise ValueError("sample autocorrelations imply a non-stationary fit; "
-                         "reduce the order or provide more data")
-    return 1.0 / denom
+    return 1.0 / float(_levinson(gamma / gamma[0], (), order + 1)[1][order])

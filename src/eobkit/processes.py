@@ -271,11 +271,18 @@ def _companion(phi: tuple[float, ...]) -> np.ndarray:
     return comp
 
 
-def companion_spectral_radius(phi: tuple[float, ...]) -> float:
-    """Spectral radius of the AR companion matrix (< 1 iff stationary)."""
-    if len(phi) == 0:
-        return 0.0
-    return float(np.max(np.abs(np.linalg.eigvals(_companion(phi)))))
+def reflection_coefficients(phi) -> np.ndarray:
+    """kappa_1..kappa_p of phi by the step-down (Schur-Cohn) recursion. phi is stationary
+    iff every |kappa_j| < 1; the first one found outside raises NonStationaryError."""
+    a, kappa = np.array(phi, dtype=float), np.empty(len(phi))
+    for j in range(kappa.size, 0, -1):
+        kappa[j - 1] = k = a[-1]
+        if not abs(k) < 1.0:
+            raise NonStationaryError(
+                f"AR coefficients {tuple(map(float, phi))} are non-stationary "
+                f"(reflection coefficient kappa_{j} = {k:.6f}, |kappa| >= 1)")
+        a = (a[:-1] + k * a[-2::-1]) / (1.0 - k * k)
+    return kappa
 
 
 @dataclass(frozen=True)
@@ -298,11 +305,7 @@ class ARSpec:
             raise ValueError(
                 f"innovation variance {self.innovation.variance:.12g} does not match "
                 f"sigma_eps2={self.sigma_eps2:.12g}")
-        radius = companion_spectral_radius(self.phi)
-        if radius >= 1.0:
-            raise NonStationaryError(
-                f"AR coefficients {self.phi} are non-stationary "
-                f"(companion spectral radius {radius:.6f} >= 1)")
+        reflection_coefficients(self.phi)
 
     @property
     def p(self) -> int:

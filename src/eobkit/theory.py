@@ -17,7 +17,8 @@ det(R) = det(R_p) * SSNR^{-(T-p)}, and det(R)^{1/T} -> 1/SSNR as T grows
 (Szegő limit). All logarithms are natural, so values are in nats.
 
 `eob_mgm` and `verify_determinant_decomposition` read log det(R) from the dense Cholesky
-factor that validates a `CorrMatrix`; `szego_convergence_curve` runs Durbin, no matrix.
+factor that validates a `CorrMatrix`, the independent check of the one Levinson recursion
+(`_levinson`) behind Yule-Walker, the autocorrelations and the Szegő curve.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .processes import ARSpec
+from .processes import ARSpec, reflection_coefficients
 
 __all__ = [
     "CorrMatrix",
@@ -150,49 +151,46 @@ class EobReport:
 # ---------------------------------------------------------------------------
 
 def solve_yule_walker(spec: ARSpec) -> YuleWalkerSolution:
-    """Solve the p x p Yule-Walker system for rho_1..rho_p.
-
-    rho_k = sum_i phi_i rho_{|k-i|} for k = 1..p with rho_0 = 1, then
-    sigma_z^2 = sigma_eps^2 / (1 - sum_i phi_i rho_i).
-    """
-    p = spec.p
-    phi = np.asarray(spec.phi, dtype=float)
-    if p == 0:
-        return YuleWalkerSolution(rho=np.empty(0), sigma_z2=spec.sigma_eps2, ssnr=1.0)
-    # Collect coefficients on the unknowns rho_1..rho_p; the rho_0 terms
-    # (|k-i| = 0) move to the right-hand side as phi_k.
-    A = np.eye(p)
-    for k in range(1, p + 1):
-        for i in range(1, p + 1):
-            lag = abs(k - i)
-            if lag > 0:
-                A[k - 1, lag - 1] -= phi[i - 1]
-    try:
-        rho = np.linalg.solve(A, phi)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"Yule-Walker system is singular for phi={spec.phi}") from exc
-    denom = 1.0 - float(np.dot(phi, rho))
-    if denom <= 0.0:
-        raise ValueError(
-            f"Yule-Walker solution implies non-positive innovation fraction "
-            f"({denom:.3e}); phi={spec.phi} is numerically non-stationary")
-    if np.any(np.abs(rho) > 1.0 + 1e-9):
-        raise ValueError(f"Yule-Walker autocorrelations escape [-1, 1]: {rho}")
-    return YuleWalkerSolution(rho=rho, sigma_z2=spec.sigma_eps2 / denom, ssnr=1.0 / denom)
+    """rho_1..rho_p stepped up from the reflection coefficients; SSNR = 1 / v_p, where
+    v_p = prod_j (1 - kappa_j^2) = 1 - sum_i phi_i rho_i, and sigma_z^2 = sigma_eps^2 / v_p."""
+    rho, v = _levinson((1.0,), reflection_coefficients(spec.phi), spec.p + 1)
+    v_p = float(v[spec.p])
+    return YuleWalkerSolution(rho=rho[1:], sigma_z2=spec.sigma_eps2 / v_p, ssnr=1.0 / v_p)
 
 
 def autocorrelations(spec: ARSpec, max_lag: int) -> np.ndarray:
     """rho_0..rho_max_lag, extended beyond lag p by rho_k = sum_i phi_i rho_{k-i}."""
     if max_lag < 0:
         raise ValueError(f"max_lag must be >= 0, got {max_lag}")
-    yw = solve_yule_walker(spec)
-    rho = np.ones(max_lag + 1)
-    upto = min(spec.p, max_lag)
-    rho[1:upto + 1] = yw.rho[:upto]
-    phi = np.asarray(spec.phi)
-    for k in range(spec.p + 1, max_lag + 1):
-        rho[k] = float(np.dot(phi, rho[k - spec.p:k][::-1]))
-    return rho
+    return _levinson((1.0,), reflection_coefficients(spec.phi), max_lag + 1)[0]
+
+
+def _levinson(rho, kappa, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Levinson-Durbin over lags 0..n-1: autocorrelations rho_k and prediction variances v_k.
+
+    Where `rho` gives lag k, kappa_k is solved for (Durbin) and must lie in (-1, 1);
+    past that it is read from `kappa`, or zero once that runs out (the maximum-entropy
+    extension), and rho_k is written (step-up). v_0 = rho_0 = 1, v_k = v_{k-1} (1 - kappa_k^2)
+    and log det R_T = sum_{k<T} log v_k. A zero kappa does not grow the predictor: O(p) a lag.
+    """
+    out, v, a = np.ones(n), np.ones(n), np.empty(0)
+    for k in range(1, n):
+        pred = float(a @ out[k - a.size:k][::-1])
+        if k < len(rho):
+            kap = (rho[k] - pred) / v[k - 1]
+            if not abs(kap) < 1.0:
+                raise ValueError(f"autocorrelations are not positive definite at lag {k} "
+                                 f"(reflection coefficient {kap:.6g})")
+            out[k] = rho[k]
+        elif k <= len(kappa):
+            kap = kappa[k - 1]
+            out[k] = pred + kap * v[k - 1]
+        else:
+            out[k], v[k] = pred, v[k - 1]
+            continue
+        a = np.concatenate([a - kap * a[::-1], [kap]])
+        v[k] = v[k - 1] * (1.0 - kap * kap)
+    return out, v
 
 
 def corr_matrix_from_ar(spec: ARSpec, T: int) -> CorrMatrix:
@@ -265,21 +263,13 @@ def verify_determinant_decomposition(spec: ARSpec, T: int) -> float:
 
 
 def szego_convergence_curve(spec: ARSpec, T_values) -> list[tuple[int, float]]:
-    """(T, det(R)^{1/T}) pairs, tending to 1/SSNR. One O(T_max^2) Durbin pass, no matrix,
-    gives log det(R_T) = sum_{k<T} log v_k, v_k the order-k prediction variance."""
+    """(T, det(R)^{1/T}) pairs, tending to 1/SSNR. One O(T_max) Levinson pass over the
+    reflection coefficients, no matrix, gives log det(R_T) = sum_{k<T} log v_k."""
     T_values = [int(T) for T in T_values]
     if min(T_values, default=1) < 1:
         raise ValueError(f"T must be >= 1, got {min(T_values)}")
-    rho = autocorrelations(spec, max(T_values, default=1) - 1)
-    log_v, a, v = np.zeros(rho.size), np.empty(0), 1.0
-    for k in range(1, rho.size):
-        kappa = (rho[k] - float(a @ rho[k - 1:0:-1])) / v  # reflection coefficient
-        if not abs(kappa) < 1.0:  # R_{k+1} is not positive definite
-            raise NotPositiveDefiniteError(float(np.linalg.eigvalsh(_toeplitz(rho[:k + 1]))[0]))
-        a = np.concatenate([a - kappa * a[::-1], [kappa]])
-        v *= 1.0 - kappa * kappa
-        log_v[k] = math.log(v)
-    log_dets = np.cumsum(log_v)
+    v = _levinson((1.0,), reflection_coefficients(spec.phi), max(T_values, default=1))[1]
+    log_dets = np.cumsum(np.log(v))
     return [(T, math.exp(log_dets[T - 1] / T)) for T in T_values]
 
 

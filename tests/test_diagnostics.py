@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import linalg, stats
 
+from conftest import step_up
 from eobkit.diagnostics import (ZeroVarianceWarning, _average_ranks, dist_identity,
                                 eigen_entropy,
                                 estimate_ssnr, inefficiency_ratio, ode_ratio,
@@ -212,6 +213,31 @@ class TestEstimateSsnr:
     def test_short_series_rejected(self):
         with pytest.raises(ValueError, match="short"):
             estimate_ssnr(np.ones(5), order=1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_series_rejected(self, bad):
+        series = np.random.default_rng(0).standard_normal(100)
+        series[37] = bad
+        with pytest.raises(ValueError, match=r"series must be finite \(found nan or inf\)"):
+            estimate_ssnr(series, order=1)
+
+    @given(reflection=st.lists(st.floats(-0.99, 0.99), max_size=6),
+           seed=st.integers(min_value=0, max_value=2**16))
+    @settings(deadline=None, max_examples=50)
+    def test_matches_dense_toeplitz_solve(self, reflection, seed):
+        spec = ARSpec(c=0.0, phi=tuple(step_up(np.asarray(reflection))),
+                      innovation=Gaussian(0.0, 0.5), sigma_eps2=0.25)
+        x = simulate_ar(spec, 400, seed=seed)
+        xc = x - x.mean()
+        gamma = np.array([np.dot(xc[:x.size - k], xc[k:]) / x.size for k in range(5)])
+        rho = gamma / gamma[0]
+        for p in range(1, 5):
+            phi_hat = np.linalg.solve(linalg.toeplitz(rho[:p]), rho[1:p + 1])
+            expected = 1.0 / (1.0 - float(np.dot(phi_hat, rho[1:p + 1])))
+            estimate = estimate_ssnr(x, order=p)
+            assert type(estimate) is float
+            # both lose digits in step with the estimate itself
+            assert estimate == pytest.approx(expected, rel=1e-12 * expected)
 
 
 class TestSlidingWindows:

@@ -13,8 +13,8 @@ from eobkit.processes import (_AR_BLOCK, ARSpec, Binomial, DeterministicSpec, Ga
                               Geometric, HybridSpec, NonStationaryError, Poisson, StudentT,
                               Uniform, calibrate_innovation, default_burn_in,
                               hybrid_spec_from_dict, hybrid_spec_to_dict, psi_weights,
-                              sample_innovation, simulate_ar, synthesize_deterministic,
-                              synthesize_hybrid)
+                              reflection_coefficients, sample_innovation, simulate_ar,
+                              synthesize_deterministic, synthesize_hybrid)
 
 SIGMA_EPS2 = 0.25
 FAMILIES = ("binomial", "geometric", "gaussian", "poisson", "student_t", "uniform")
@@ -76,11 +76,52 @@ class TestInnovations:
             Binomial(n=0, p=0.5)
 
 
+@st.composite
+def _roots_near_unit_circle(draw) -> list:
+    """1-6 AR roots, real or in conjugate pairs, at moduli 1 -+ 10^u with u in [-2, -1]:
+    near the boundary, but far enough that eigvals and the step-down both decide it."""
+    def modulus() -> float:
+        return 1.0 + draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-2.0, -1.0))
+    roots = []
+    for _ in range(draw(st.integers(0, 3))):
+        z = modulus() * np.exp(1j * draw(st.floats(0.0, math.pi)))
+        roots += [z, z.conjugate()]
+    n_real = draw(st.integers(0 if roots else 1, 6 - len(roots)))
+    return roots + [draw(st.sampled_from([-1.0, 1.0])) * modulus() for _ in range(n_real)]
+
+
 class TestARSpec:
     def test_stationarity_gate(self):
         for phi in [(1.0,), (1.1,), (-1.0,), (0.5, 0.5), (0.9, 0.2)]:
             with pytest.raises(NonStationaryError):
                 ARSpec(c=0.0, phi=phi, innovation=Gaussian(0.0, 0.5), sigma_eps2=0.25)
+
+    def test_gate_names_the_reflection_coefficient(self):
+        with pytest.raises(NonStationaryError, match=r"kappa_1 = 1\.125000"):
+            _gaussian_ar((0.9, 0.2))
+
+    @settings(max_examples=200, deadline=None)
+    @given(reflection=st.lists(st.floats(-0.99, 0.99), max_size=6))
+    def test_reflection_coefficients_invert_step_up(self, reflection):
+        kappa = np.asarray(reflection)
+        # both directions lose digits in step with SSNR = prod_j 1 / (1 - kappa_j^2)
+        ssnr = float(np.prod(1.0 / (1.0 - kappa**2)))
+        np.testing.assert_allclose(reflection_coefficients(step_up(kappa)), kappa,
+                                   rtol=0.0, atol=1e-12 * ssnr)
+
+    @settings(max_examples=200, deadline=None)
+    @given(roots=_roots_near_unit_circle())
+    def test_gate_matches_companion_eigenvalues(self, roots):
+        phi = -np.poly(roots)[1:].real
+        companion = np.eye(phi.size, k=-1)
+        companion[0] = phi
+        explosive = bool(np.max(np.abs(np.linalg.eigvals(companion))) >= 1.0)
+        try:
+            _gaussian_ar(phi)
+        except NonStationaryError:
+            assert explosive
+        else:
+            assert not explosive
 
     def test_variance_mismatch_rejected(self):
         with pytest.raises(ValueError, match="does not match"):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import linalg
 
-from conftest import random_stationary_spec
+from conftest import random_stationary_spec, step_up
 from eobkit import theory
 from eobkit.processes import ARSpec, Gaussian
 from eobkit.theory import (CorrMatrix, NotPositiveDefiniteError, YuleWalkerSolution,
@@ -60,6 +60,46 @@ class TestYuleWalker:
         assert yw.rho[0] == 0.5
         with pytest.raises(ValueError, match="read-only"):
             yw.rho[0] = 0.1
+
+
+def _dense_yule_walker(phi, max_lag: int) -> np.ndarray:
+    """rho_0..rho_max_lag: the p x p Yule-Walker system built in a double loop and solved
+    densely, then extended by rho_k = sum_i phi_i rho_{k-i}."""
+    p = len(phi)
+    A = np.eye(p)
+    for k in range(1, p + 1):
+        for i in range(1, p + 1):
+            if k != i:
+                A[k - 1, abs(k - i) - 1] -= phi[i - 1]
+    rho = np.ones(max(p, max_lag) + 1)
+    rho[1:p + 1] = np.linalg.solve(A, phi) if p else ()
+    for k in range(p + 1, max_lag + 1):
+        rho[k] = np.dot(phi, rho[k - p:k][::-1])
+    return rho
+
+
+class TestLevinson:
+    @given(reflection=st.lists(st.floats(-0.99, 0.99), max_size=6),
+           max_lag=st.integers(min_value=0, max_value=64))
+    @settings(deadline=None, max_examples=100)
+    def test_matches_dense_yule_walker_solve(self, reflection, max_lag):
+        spec = ar(step_up(np.asarray(reflection)))
+        reference = _dense_yule_walker(spec.phi, max_lag)
+        yw = solve_yule_walker(spec)
+        assert type(yw.ssnr) is float and type(yw.sigma_z2) is float
+        # both solutions lose digits in step with SSNR = prod_j 1 / (1 - kappa_j^2)
+        tol = 1e-12 * yw.ssnr
+        np.testing.assert_allclose(yw.rho, reference[1:spec.p + 1], rtol=0.0, atol=tol)
+        np.testing.assert_allclose(autocorrelations(spec, max_lag), reference[:max_lag + 1],
+                                   rtol=0.0, atol=tol)
+        innovation_fraction = 1.0 - float(np.dot(spec.phi, reference[1:spec.p + 1]))
+        assert yw.ssnr == pytest.approx(1.0 / innovation_fraction, rel=tol)
+        assert yw.sigma_z2 == pytest.approx(0.25 / innovation_fraction, rel=tol)
+
+    def test_non_pd_autocorrelations_raise_naming_the_lag(self):
+        # kappa_1 = 0.8, then kappa_2 = (-0.8 - 0.8 * 0.8) / 0.36 = -4
+        with pytest.raises(ValueError, match="at lag 2"):
+            theory._levinson(np.array([1.0, 0.8, -0.8]), (), 3)
 
 
 class TestCorrMatrix:
@@ -241,15 +281,6 @@ class TestSzego:
             for T, value in szego_convergence_curve(spec, T_values):
                 dense = corr_matrix_from_ar(spec, T).log_det()
                 assert T * math.log(value) == pytest.approx(dense, rel=1e-10, abs=1e-10)
-
-    def test_non_pd_autocorrelations_raise_with_min_eigenvalue(self, monkeypatch):
-        rho = np.array([1.0, 0.8, -0.8])
-        monkeypatch.setattr(theory, "autocorrelations", lambda spec, max_lag: rho)
-        with pytest.raises(NotPositiveDefiniteError) as err:
-            szego_convergence_curve(ar([0.5]), [3])
-        expected = float(np.linalg.eigvalsh(linalg.toeplitz(rho))[0])
-        assert expected < 0.0
-        assert err.value.min_eigenvalue == pytest.approx(expected, rel=1e-12)
 
     def test_window_lengths(self):
         assert szego_convergence_curve(ar([0.5]), []) == []
