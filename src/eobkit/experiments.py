@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -80,33 +81,20 @@ class ModelSpec:
         if min(self.input_len, self.output_len, self.hidden) < 1:
             raise ValueError("model dimensions must all be >= 1")
 
-    @property
-    def parameter_count(self) -> int:
-        if self.kind == "linear":
-            return self.output_len * self.input_len + self.output_len
-        return (self.hidden * self.input_len + self.hidden
-                + self.output_len * self.hidden + self.output_len)
-
 
 @dataclass(frozen=True)
-class LossSpec:
-    """Training-loss selector, mirroring the JSON loss config."""
+class LossSpec(losses.HarmonizedConfig):
+    """Training-loss selector, mirroring the JSON loss config: the harmonized
+    losses read it as their config, and `beta` drives the magnitude EMA."""
 
-    kind: str = "temporal"  # "temporal" | "harmonized"
     norm: str = "l2"
-    gamma: float = 0.5
+    kind: str = "temporal"  # "temporal" | "harmonized"
     beta: float = 0.3
-    eps: float = 1e-8
-    transform: str = "dft"
-    wavelet: str = "haar"
-    levels: int = 1
 
     def __post_init__(self):
-        _cast(self, levels=_int)
+        super().__post_init__()
         if self.kind not in ("temporal", "harmonized"):
             raise ValueError(f"loss kind must be 'temporal' or 'harmonized', got {self.kind!r}")
-        if self.norm not in ("l1", "l2"):
-            raise ValueError(f"norm must be 'l1' or 'l2', got {self.norm!r}")
         if not 0.0 <= self.beta < 1.0:
             raise ValueError(f"beta must lie in [0, 1), got {self.beta}")
 
@@ -159,6 +147,8 @@ class GridSpec:
             raise ValueError("ssnr_x_values and horizons must be non-empty")
         if self.replications < 1:
             raise ValueError(f"replications must be >= 1, got {self.replications}")
+        if not all(map(math.isfinite, (*self.ssnr_x_values, self.ssnr_z, self.sigma_eps2))):
+            raise ValueError("ssnr_x_values, ssnr_z and sigma_eps2 must be finite")
         if any(v < self.ssnr_z for v in self.ssnr_x_values):
             raise ValueError(
                 f"every ssnr_x must be >= the stochastic floor ssnr_z={self.ssnr_z}")
@@ -262,21 +252,15 @@ class _TrainingLoss:
 
     def __init__(self, spec: LossSpec, output_len: int):
         self.spec = spec
-        if spec.kind == "harmonized":
-            self.cfg = losses.HarmonizedConfig(norm=spec.norm, gamma=spec.gamma,
-                                               eps=spec.eps, transform=spec.transform,
-                                               wavelet=spec.wavelet, levels=spec.levels)
-            self.ema = losses.EmaMagnitudes.zeros(output_len, spec.beta)
-            self._target_mags: np.ndarray | None = None
-        else:
-            self.cfg = None
-            self.ema = None
+        self.ema = (losses.EmaMagnitudes.zeros(output_len, spec.beta)
+                    if spec.kind == "harmonized" else None)
+        self._target_mags: np.ndarray | None = None
 
     def start_epoch(self, Y_train: np.ndarray) -> None:
         if self.ema is None:
             return
         if self._target_mags is None:
-            self._target_mags = losses.coefficient_magnitudes(Y_train, self.cfg).mean(axis=0)
+            self._target_mags = losses.coefficient_magnitudes(Y_train, self.spec).mean(axis=0)
         self.ema = losses.update_ema(self.ema, self._target_mags)
 
     def evaluate(self, Y: np.ndarray, P: np.ndarray) -> tuple[float, losses.LossEval]:
@@ -284,9 +268,9 @@ class _TrainingLoss:
         if self.spec.kind == "temporal":
             ev = losses.temporal_l2(Y, P) if self.spec.norm == "l2" else losses.temporal_l1(Y, P)
         elif self.spec.norm == "l2":
-            ev = losses.harmonized_l2(Y, P, self.ema, self.cfg)
+            ev = losses.harmonized_l2(Y, P, self.ema, self.spec)
         else:
-            ev = losses.harmonized_l1(Y, P, self.ema, self.cfg)
+            ev = losses.harmonized_l1(Y, P, self.ema, self.spec)
         return float(np.sum(ev.value)) / Y.shape[0], ev
 
 
@@ -360,6 +344,9 @@ def train_model(spec: ModelSpec, X: np.ndarray, Y: np.ndarray, cfg: TrainConfig,
     if X.ndim != 2 or Y.ndim != 2 or X.shape[0] != Y.shape[0]:
         raise ValueError(f"X and Y must be matrices with equal row counts, "
                          f"got {X.shape} and {Y.shape}")
+    for name, a in (("X", X), ("Y", Y)):
+        if not np.all(np.isfinite(a)):
+            raise ValueError(f"{name} must be finite (found nan or inf)")
     if X.shape[0] < 2:
         raise ValueError("need at least 2 window pairs to train")
     if X.shape[1] != spec.input_len or Y.shape[1] != spec.output_len:
@@ -487,35 +474,26 @@ def run_grid(grid: GridSpec, model: ModelSpec, cfg: TrainConfig,
 
     Each cell owns an RNG sub-stream keyed by its index, so the output is
     identical whatever the worker count. Cell failures are recorded and the
-    sweep continues.
+    sweep continues; a DWT loss whose 2^levels does not divide a horizon
+    fails up front.
     """
-    tasks = []
-    for ssnr_x in grid.ssnr_x_values:
+    if cfg.loss.kind == "harmonized" and cfg.loss.transform == "dwt":
         for horizon in grid.horizons:
-            for rep in range(grid.replications):
-                tasks.append((grid, model, cfg, ssnr_x, horizon, rep))
+            if (horizon >> cfg.loss.levels) << cfg.loss.levels != horizon:
+                raise ValueError(f"a DWT loss with levels={cfg.loss.levels} needs horizons "
+                                 f"divisible by 2^{cfg.loss.levels}, got horizon {horizon}")
+    tasks = [(grid, model, cfg, ssnr_x, horizon, rep) for ssnr_x in grid.ssnr_x_values
+             for horizon in grid.horizons for rep in range(grid.replications)]
 
     points: list[SurfacePoint] = []
     failures: list[tuple[str, str]] = []
-
-    def label(task) -> str:
-        return f"ssnr_x={task[3]:g},h={task[4]},rep={task[5]}"
-
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = pool.map(_run_cell_safe, tasks)
-            for task, (point, error) in zip(tasks, outcomes):
-                if point is not None:
-                    points.append(point)
-                else:
-                    failures.append((label(task), error))
-    else:
-        for task in tasks:
-            point, error = _run_cell_safe(task)
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        outcomes = (pool.map if pool else map)(_run_cell_safe, tasks)
+        for task, (point, error) in zip(tasks, outcomes):
             if point is not None:
                 points.append(point)
             else:
-                failures.append((label(task), error))
+                failures.append((f"ssnr_x={task[3]:g},h={task[4]},rep={task[5]}", error))
     points.sort(key=lambda pt: (pt.ssnr_x, pt.horizon, pt.replication))
     return GridResult(points=points, failures=failures)
 

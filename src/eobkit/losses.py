@@ -21,13 +21,14 @@ transform itself.
 All functions act on the last axis of (..., L) arrays and return values per
 row; the caller reduces over rows. The target broadcasts to the
 prediction's shape (same last axis), so one series is scored against a
-batch or a stack of finite-difference probes in one call. The transforms
-are linear, so the losses on coefficient differences (real/imaginary,
-harmonized, whitened) transform the residual x - x_hat once; only the
-amplitude/phase losses, which are nonlinear in the coefficients, transform
-the target and the prediction apart. Values are computed at once and
-gradients on first access, so a caller that reads only values never runs
-the pullback.
+batch or a stack of finite-difference probes in one call. Eight losses are
+one kernel, sum_k w_k pen(d_k) over the coefficients d of the residual
+x - x_hat, which transforms the residual once: temporal (identity, w = 1),
+real/imaginary (DFT, w = 1), harmonized (any transform, magnitude weights)
+and whitened (w = 1/f_bar^p). Only the amplitude/phase losses, which are
+nonlinear in the coefficients, transform the target and the prediction
+apart. Values are computed at once and gradients on first access, so a
+caller that reads only values never runs the pullback.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from typing import Callable
 import numpy as np
 
 from . import transforms
+from .processes import _cast, _int
 
 __all__ = [
     "EmaMagnitudes",
@@ -139,10 +141,16 @@ class HarmonizedConfig:
     levels: int = 1
 
     def __post_init__(self):
+        _cast(self, levels=_int)
         if self.norm not in ("l1", "l2"):
             raise ValueError(f"norm must be 'l1' or 'l2', got {self.norm!r}")
         if self.transform not in ("dft", "dwt", "identity"):
             raise ValueError(f"transform must be dft, dwt or identity, got {self.transform!r}")
+        if self.wavelet not in transforms.WAVELET_FILTERS:
+            raise ValueError(f"wavelet must be one of {sorted(transforms.WAVELET_FILTERS)}, "
+                             f"got {self.wavelet!r}")
+        if self.levels < 1:
+            raise ValueError(f"levels must be >= 1, got {self.levels}")
         if not math.isfinite(self.gamma) or self.gamma < 0.0:
             raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
         if not math.isfinite(self.eps) or self.eps <= 0.0:
@@ -150,7 +158,7 @@ class HarmonizedConfig:
 
 
 # ---------------------------------------------------------------------------
-# Transform plumbing
+# Transform plumbing and the coefficient-loss kernel
 # ---------------------------------------------------------------------------
 
 def _check_lengths(x: np.ndarray, x_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -165,26 +173,58 @@ def _check_lengths(x: np.ndarray, x_hat: np.ndarray) -> tuple[np.ndarray, np.nda
     return x, x_hat
 
 
-def _forward_coeffs(x: np.ndarray, cfg: HarmonizedConfig) -> np.ndarray:
-    """Coefficients of x under cfg.transform: complex for dft, real otherwise."""
-    if cfg.transform == "dft":
+def _forward_coeffs(x: np.ndarray, transform: str, wavelet: str, levels: int) -> np.ndarray:
+    """Coefficients of x under the transform: complex for dft, real otherwise."""
+    if transform == "dft":
         return transforms.dft_forward(x)
-    if cfg.transform == "dwt":
-        return transforms.dwt_forward(x, cfg.wavelet, cfg.levels).coeffs
-    return x
+    if transform == "dwt":
+        return transforms.dwt_forward(x, wavelet, levels).coeffs
+    if transform == "identity":
+        return x
+    raise ValueError(f"transform must be dft, dwt or identity, got {transform!r}")
 
 
-def _pullback(g: np.ndarray, cfg: HarmonizedConfig) -> np.ndarray:
-    if cfg.transform == "dft":
+def _pullback(g: np.ndarray, transform: str, wavelet: str, levels: int) -> np.ndarray:
+    if transform == "dft":
         return transforms.dft_inverse(g)
-    if cfg.transform == "dwt":
-        return transforms.dwt_inverse(transforms.WaveletCoeffs(g, cfg.levels, cfg.wavelet))
+    if transform == "dwt":
+        return transforms.dwt_inverse(transforms.WaveletCoeffs(g, levels, wavelet))
     return g
 
 
 def coefficient_magnitudes(x: np.ndarray, cfg: HarmonizedConfig) -> np.ndarray:
     """Per-bin magnitudes |f_k| of x under cfg.transform (complex modulus for dft)."""
-    return np.abs(_forward_coeffs(np.asarray(x, dtype=float), cfg))
+    return np.abs(_forward_coeffs(np.asarray(x, dtype=float), cfg.transform, cfg.wavelet,
+                                  cfg.levels))
+
+
+def _coefficient_loss(x: np.ndarray, x_hat: np.ndarray, weights: float | np.ndarray,
+                      norm: str, transform: str, wavelet: str = "haar",
+                      levels: int = 1) -> LossEval:
+    """sum_k w_k pen(d_k) over the coefficients d of the residual x - x_hat.
+
+    The one kernel of every loss linear in the coefficients: `weights` is 1 or
+    one weight per bin, pen is |.| or (.)^2 on the real and imaginary parts,
+    and the gradient is pulled back through the transform's adjoint.
+    """
+    x, x_hat = _check_lengths(x, x_hat)
+    if np.ndim(weights) and np.shape(weights) != x_hat.shape[-1:]:
+        raise ValueError(f"length mismatch: weights of shape {np.shape(weights)}, "
+                         f"series of length {x_hat.shape[-1]}")
+    d = _forward_coeffs(x - x_hat, transform, wavelet, levels)
+    pen = (_penalty(d.real, norm) + _penalty(d.imag, norm) if np.iscomplexobj(d)
+           else _penalty(d, norm))
+
+    def grad() -> np.ndarray:
+        if norm == "l2":
+            g = -2.0 * weights * d
+        elif np.iscomplexobj(d):
+            g = -weights * (np.sign(d.real) + 1j * np.sign(d.imag))
+        else:
+            g = -weights * np.sign(d)
+        return _pullback(g, transform, wavelet, levels)
+
+    return LossEval(value=np.sum(weights * pen, axis=-1), _grad_fn=grad)
 
 
 # ---------------------------------------------------------------------------
@@ -193,16 +233,12 @@ def coefficient_magnitudes(x: np.ndarray, cfg: HarmonizedConfig) -> np.ndarray:
 
 def temporal_l2(x: np.ndarray, x_hat: np.ndarray) -> LossEval:
     """Squared error; gradient -2(x - x_hat) scales with the error (dominance)."""
-    x, x_hat = _check_lengths(x, x_hat)
-    e = x - x_hat
-    return LossEval(value=np.sum(e**2, axis=-1), _grad_fn=lambda: -2.0 * e)
+    return _coefficient_loss(x, x_hat, 1.0, "l2", "identity")
 
 
 def temporal_l1(x: np.ndarray, x_hat: np.ndarray) -> LossEval:
     """Absolute error; gradient -sgn(x - x_hat) has magnitude 1 or 0 (fatigue)."""
-    x, x_hat = _check_lengths(x, x_hat)
-    e = x - x_hat
-    return LossEval(value=np.sum(np.abs(e), axis=-1), _grad_fn=lambda: -np.sign(e))
+    return _coefficient_loss(x, x_hat, 1.0, "l1", "identity")
 
 
 # ---------------------------------------------------------------------------
@@ -216,10 +252,7 @@ def freq_real_imag_l2(x: np.ndarray, x_hat: np.ndarray) -> LossEval:
     collapses to -2(x - x_hat); both are computed in the spectral domain
     here so the equivalence is observable rather than assumed.
     """
-    x, x_hat = _check_lengths(x, x_hat)
-    d = transforms.dft_forward(x - x_hat)
-    value = np.sum(d.real**2 + d.imag**2, axis=-1)
-    return LossEval(value=value, _grad_fn=lambda: transforms.dft_inverse(-2.0 * d))
+    return _coefficient_loss(x, x_hat, 1.0, "l2", "dft")
 
 
 def freq_real_imag_l1(x: np.ndarray, x_hat: np.ndarray) -> LossEval:
@@ -229,11 +262,7 @@ def freq_real_imag_l1(x: np.ndarray, x_hat: np.ndarray) -> LossEval:
     invariant, so this is a genuinely different (sparsity-seeking)
     objective.
     """
-    x, x_hat = _check_lengths(x, x_hat)
-    d = transforms.dft_forward(x - x_hat)
-    value = np.sum(np.abs(d.real) + np.abs(d.imag), axis=-1)
-    return LossEval(value=value, _grad_fn=lambda: transforms.dft_inverse(
-        -(np.sign(d.real) + 1j * np.sign(d.imag))))
+    return _coefficient_loss(x, x_hat, 1.0, "l1", "dft")
 
 
 # ---------------------------------------------------------------------------
@@ -328,30 +357,6 @@ def freq_error_amp_phase(x: np.ndarray, x_hat: np.ndarray, norm: str = "l2",
 # Magnitude-adaptive (harmonized) and strictly whitened losses
 # ---------------------------------------------------------------------------
 
-def _check_ema(ema: EmaMagnitudes, n_bins: int) -> None:
-    if ema.f_bar.shape[0] != n_bins:
-        raise ValueError(
-            f"length mismatch: ema tracks {ema.f_bar.shape[0]} bins, series has {n_bins}")
-
-
-def _weighted_coeff_loss(x: np.ndarray, x_hat: np.ndarray, weights: np.ndarray,
-                         norm: str, cfg: HarmonizedConfig) -> LossEval:
-    d = _forward_coeffs(x - x_hat, cfg)
-    pen = (_penalty(d.real, norm) + _penalty(d.imag, norm) if np.iscomplexobj(d)
-           else _penalty(d, norm))
-
-    def grad() -> np.ndarray:
-        if norm == "l2":
-            g = -2.0 * weights * d
-        elif np.iscomplexobj(d):
-            g = -weights * (np.sign(d.real) + 1j * np.sign(d.imag))
-        else:
-            g = -weights * np.sign(d)
-        return _pullback(g, cfg)
-
-    return LossEval(value=np.sum(weights * pen, axis=-1), _grad_fn=grad)
-
-
 def harmonized_l2(x: np.ndarray, x_hat: np.ndarray, ema: EmaMagnitudes,
                   cfg: HarmonizedConfig) -> LossEval:
     """Weighted squared coefficient error, weights w_k = 1 + gamma/(f_bar_k + eps).
@@ -362,10 +367,8 @@ def harmonized_l2(x: np.ndarray, x_hat: np.ndarray, ema: EmaMagnitudes,
     """
     if cfg.norm != "l2":
         raise ValueError(f"config norm is {cfg.norm!r}, expected 'l2'")
-    x, x_hat = _check_lengths(x, x_hat)
-    _check_ema(ema, x.shape[-1])
-    weights = 1.0 + cfg.gamma / (ema.f_bar + cfg.eps)
-    return _weighted_coeff_loss(x, x_hat, weights, "l2", cfg)
+    return _coefficient_loss(x, x_hat, 1.0 + cfg.gamma / (ema.f_bar + cfg.eps), "l2",
+                             cfg.transform, cfg.wavelet, cfg.levels)
 
 
 def harmonized_l1(x: np.ndarray, x_hat: np.ndarray, ema: EmaMagnitudes,
@@ -377,10 +380,8 @@ def harmonized_l1(x: np.ndarray, x_hat: np.ndarray, ema: EmaMagnitudes,
     """
     if cfg.norm != "l1":
         raise ValueError(f"config norm is {cfg.norm!r}, expected 'l1'")
-    x, x_hat = _check_lengths(x, x_hat)
-    _check_ema(ema, x.shape[-1])
-    weights = 1.0 + cfg.gamma * ema.f_bar
-    return _weighted_coeff_loss(x, x_hat, weights, "l1", cfg)
+    return _coefficient_loss(x, x_hat, 1.0 + cfg.gamma * ema.f_bar, "l1",
+                             cfg.transform, cfg.wavelet, cfg.levels)
 
 
 def whitened_loss(x: np.ndarray, x_hat: np.ndarray, f_bar: np.ndarray,
@@ -394,13 +395,7 @@ def whitened_loss(x: np.ndarray, x_hat: np.ndarray, f_bar: np.ndarray,
     """
     if norm not in ("l1", "l2"):
         raise ValueError(f"norm must be 'l1' or 'l2', got {norm!r}")
-    x, x_hat = _check_lengths(x, x_hat)
     f_bar = np.asarray(f_bar, dtype=float)
-    if f_bar.shape[0] != x.shape[-1]:
-        raise ValueError(
-            f"length mismatch: f_bar has {f_bar.shape[0]} bins, series has {x.shape[-1]}")
     if np.any(f_bar <= 0.0):
         raise ValueError("whitened loss requires strictly positive magnitudes for every bin")
-    cfg = HarmonizedConfig(norm=norm, gamma=0.0, eps=1.0, transform=transform)
-    weights = 1.0 / f_bar**2 if norm == "l2" else 1.0 / f_bar
-    return _weighted_coeff_loss(x, x_hat, weights, norm, cfg)
+    return _coefficient_loss(x, x_hat, 1.0 / f_bar ** (2 if norm == "l2" else 1), norm, transform)

@@ -241,6 +241,25 @@ class TestIntegerFields:
         assert f"DeterministicSpec.{key}" in captured.err
 
 
+class TestLossConfigAtParse:
+    """Bad loss values exit 1 before any cell runs, not 2 after every cell failed."""
+
+    @pytest.mark.parametrize("key,bad,grid", [
+        ("transform", "fft", {}), ("gamma", -1, {}), ("eps", 0, {}), ("wavelet", "db4", {}),
+        ("levels", 0, {}), ("levels", 7, {"horizons": [64]}),
+    ])
+    def test_simulate_rejects_bad_loss_value(self, key, bad, grid, tmp_path, capsys):
+        doc = json.loads(json.dumps(GRID_CONFIG))
+        doc["grid"].update(grid)
+        doc["loss"] = {"kind": "harmonized", "norm": "l2", "transform": "dwt", key: bad}
+        src = tmp_path / "grid.json"
+        src.write_text(json.dumps(doc))
+        assert run_cli("simulate", "--grid", str(src), "--jobs", "1") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert key in captured.err
+
+
 class TestLossCheck:
     @pytest.mark.parametrize("instances,lengths", [("100", "8,32,128"), ("2", "8,16,32")])
     def test_reports_exact_instance_count(self, instances, lengths, capsys):

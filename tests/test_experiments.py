@@ -1,16 +1,18 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from eobkit import transforms
+from eobkit import experiments, transforms
 from eobkit.diagnostics import SurfacePoint, optimal_mse_baseline
 from eobkit.experiments import (GradientCheckError, GridSpec, LinearModel, LossSpec,
                                 ModelSpec, TrainConfig, TrainingDivergedError,
                                 chronological_split, evaluate_mse,
                                 insight_experiment, leakage_metrics, make_window_pairs,
                                 paradox_trend_test, run_grid, train_model)
+from eobkit.losses import HarmonizedConfig
 from eobkit.processes import ARSpec, DeterministicSpec, Gaussian, from_dict, simulate_ar
 
 
@@ -112,6 +114,14 @@ class TestTrainModel:
         with pytest.raises(ValueError, match="dims"):
             train_model(spec, X, Y, TrainConfig(), seed=0)
 
+    @pytest.mark.parametrize("name,bad", [("X", math.nan), ("Y", math.inf), ("Y", -math.inf)])
+    def test_non_finite_input_names_the_array(self, name, bad, rng):
+        data = {"X": rng.normal(size=(32, 4)), "Y": rng.normal(size=(32, 2))}
+        data[name][5, 1] = bad
+        spec = ModelSpec(kind="linear", input_len=4, output_len=2)
+        with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+            train_model(spec, data["X"], data["Y"], TrainConfig(), seed=0)
+
     def test_deterministic_given_seeds(self, rng):
         X, Y = rng.normal(size=(128, 4)), rng.normal(size=(128, 2))
         spec = ModelSpec(kind="linear", input_len=4, output_len=2)
@@ -185,6 +195,21 @@ class TestRunGrid:
         parallel = run_grid(grid, model, tiny_cfg(loss=loss), jobs=2)
         assert serial.points and not serial.failures
         assert serial.points == parallel.points
+
+    @pytest.mark.parametrize("horizon,levels", [(16, 5), (24, 4), (64, 7)])
+    def test_dwt_levels_must_divide_every_horizon(self, horizon, levels, monkeypatch):
+        monkeypatch.setattr(experiments, "_run_cell_safe", lambda task: pytest.fail("cell ran"))
+        grid = tiny_grid(horizons=(128, horizon))
+        model = ModelSpec(kind="linear", input_len=16, output_len=16)
+        loss = LossSpec(kind="harmonized", norm="l2", transform="dwt", levels=levels)
+        with pytest.raises(ValueError, match=rf"levels={levels} .* horizon {horizon}"):
+            run_grid(grid, model, tiny_cfg(loss=loss))
+
+    def test_dwt_levels_do_not_constrain_a_temporal_loss(self):
+        grid = tiny_grid(ssnr_x_values=(32.0,))
+        model = ModelSpec(kind="linear", input_len=16, output_len=16)
+        loss = LossSpec(kind="temporal", transform="dwt", levels=7)
+        assert run_grid(grid, model, tiny_cfg(loss=loss)).points
 
     def test_bayes_floor_against_true_baseline(self):
         # a trained model cannot reliably beat the exact cumulative optimum
@@ -282,6 +307,29 @@ class TestLossSpecParsing:
             from_dict(LossSpec, {"kind": "temporal", "bogus": 1}, "loss")
 
 
+class TestGridSpecValidation:
+    @pytest.mark.parametrize("kwargs", [
+        {"ssnr_x_values": (math.nan, 64.0)}, {"ssnr_x_values": (32.0, math.inf)},
+        {"ssnr_z": math.nan}, {"sigma_eps2": math.inf}, {"sigma_eps2": math.nan},
+    ])
+    def test_non_finite_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="must be finite"):
+            GridSpec(**kwargs)
+
+
+class TestLossSpecIsHarmonizedConfig:
+    def test_declares_only_kind_beta_and_the_norm_default(self):
+        inherited = [f.name for f in fields(HarmonizedConfig)]
+        assert [f.name for f in fields(LossSpec)] == inherited + ["kind", "beta"]
+        assert LossSpec().norm == "l2" and HarmonizedConfig().norm == "l1"
+
+    @pytest.mark.parametrize("key,bad", [("kind", "spectral"), ("beta", 1.0), ("norm", "l3"),
+                                         ("transform", "fft")])
+    def test_bad_value_rejected_by_name(self, key, bad):
+        with pytest.raises(ValueError, match=key):
+            LossSpec(**{key: bad})
+
+
 class TestIntegerFields:
     SPECS = {
         "GridSpec.history": lambda v: GridSpec(history=v),
@@ -290,6 +338,7 @@ class TestIntegerFields:
         "ModelSpec.input_len": lambda v: ModelSpec(input_len=v, output_len=4),
         "TrainConfig.max_epochs": lambda v: TrainConfig(max_epochs=v),
         "LossSpec.levels": lambda v: LossSpec(levels=v),
+        "HarmonizedConfig.levels": lambda v: HarmonizedConfig(levels=v),
         "DeterministicSpec.freqs": lambda v: DeterministicSpec(
             base_amplitude=1.0, freqs=(v,), phases=(0.0,), period=64),
     }

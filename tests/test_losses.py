@@ -124,12 +124,20 @@ class TestErrorAmpPhase:
 
 
 class TestHarmonized:
-    def test_gamma_zero_is_plain_l2(self, rng):
-        x, x_hat = rng.normal(size=32), rng.normal(size=32)
-        cfg = HarmonizedConfig(norm="l2", gamma=0.0, transform="dft")
+    @pytest.mark.parametrize("norm,transform,harmonized,plain", [
+        ("l2", "identity", harmonized_l2, temporal_l2),
+        ("l1", "identity", harmonized_l1, temporal_l1),
+        ("l2", "dft", harmonized_l2, freq_real_imag_l2),
+        ("l1", "dft", harmonized_l1, freq_real_imag_l1),
+    ], ids=["temporal_l2", "temporal_l1", "freq_real_imag_l2", "freq_real_imag_l1"])
+    def test_gamma_zero_is_plain_l2(self, norm, transform, harmonized, plain, rng):
+        # gamma = 0 makes every weight exactly 1: the same kernel call, bit for bit
+        x, x_hat = rng.normal(size=32), rng.normal(size=(3, 32))
+        cfg = HarmonizedConfig(norm=norm, gamma=0.0, transform=transform)
         ema = EmaMagnitudes(f_bar=rng.uniform(0.1, 2.0, size=32), beta=0.3)
-        ev = harmonized_l2(x, x_hat, ema, cfg)
-        assert ev.value == pytest.approx(temporal_l2(x, x_hat).value, rel=1e-12)
+        ev, ref = harmonized(x, x_hat, ema, cfg), plain(x, x_hat)
+        np.testing.assert_array_equal(ev.value, ref.value)
+        np.testing.assert_array_equal(ev.grad_wrt_prediction, ref.grad_wrt_prediction)
 
     def test_flat_profile_scales_mse(self, rng):
         # constant magnitude profile: loss = (1 + gamma/(C+eps)) * MSE
@@ -203,6 +211,16 @@ class TestWhitened:
         v2 = whitened_loss(x, x_hat, base / 2.0, "l2").value
         assert v2 == pytest.approx(4.0 * v1, rel=1e-12)
 
+    @pytest.mark.parametrize("transform", ["fft", "wavelet", ""])
+    def test_unknown_transform_rejected(self, transform, rng):
+        x = rng.normal(size=8)
+        with pytest.raises(ValueError, match="transform must be dft, dwt or identity"):
+            whitened_loss(x, x + 1.0, np.ones(8), "l2", transform=transform)
+
+    def test_length_mismatch(self, rng):
+        with pytest.raises(ValueError, match="length mismatch: weights of shape"):
+            whitened_loss(rng.normal(size=8), rng.normal(size=8), np.ones(4), "l1")
+
     def test_zero_magnitude_rejected(self, rng):
         x = rng.normal(size=8)
         with pytest.raises(ValueError, match="positive"):
@@ -215,6 +233,15 @@ class TestWhitened:
         f_bar[3] = 1e-6
         v = whitened_loss(x, x_hat, f_bar, "l2").value
         assert v > 1e6  # single tiny bin dominates
+
+
+class TestHarmonizedConfig:
+    @pytest.mark.parametrize("key,bad", [("transform", "fft"), ("gamma", -1.0),
+                                         ("gamma", math.nan), ("eps", 0.0), ("eps", math.inf),
+                                         ("wavelet", "db4"), ("levels", 0), ("norm", "l3")])
+    def test_bad_value_rejected_by_name(self, key, bad):
+        with pytest.raises(ValueError, match=key):
+            HarmonizedConfig(**{key: bad})
 
 
 class TestEma:
