@@ -125,23 +125,38 @@ def ode_ratio(R: CorrMatrix) -> float:
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
-    """Ranks 1..n down each column of an (n, L) array; tied values share their mean rank."""
-    n = x.shape[0]
-    order = np.argsort(x, axis=0, kind="stable")
-    srt = np.take_along_axis(x, order, axis=0)
-    pos = np.broadcast_to(np.arange(n, dtype=float)[:, None], x.shape)
-    tie = srt[1:] == srt[:-1]
+    """Ranks 1..n down each column of an (n, L) array; tied values share their mean rank.
+
+    Each column is ranked as a contiguous row of one transposed copy, with
+    numpy's default (unstable) sort. The order inside a tied run is lost, but
+    the run's shared rank depends only on its first and last positions, so any
+    sort gives the same ranks, bit for bit.
+    """
+    rows = np.ascontiguousarray(x.T)
+    n = rows.shape[-1]
+    order = np.argsort(rows, axis=-1)
+    srt = np.take_along_axis(rows, order, axis=-1)
+    pos = np.broadcast_to(np.arange(n, dtype=float), rows.shape)
+    tie = srt[:, 1:] == srt[:, :-1]
     if tie.any():  # a tied run of positions first..last gets (first + last) / 2
-        starts = np.ones(x.shape, dtype=bool)
-        starts[1:] = ~tie
-        ends = np.ones(x.shape, dtype=bool)
-        ends[:-1] = ~tie
-        first = np.maximum.accumulate(np.where(starts, pos, 0.0), axis=0)
-        last = np.minimum.accumulate(np.where(ends, pos, n)[::-1], axis=0)[::-1]
+        starts = np.ones(rows.shape, dtype=bool)
+        starts[:, 1:] = ~tie
+        ends = np.ones(rows.shape, dtype=bool)
+        ends[:, :-1] = ~tie
+        first = np.maximum.accumulate(np.where(starts, pos, 0.0), axis=-1)
+        last = np.minimum.accumulate(np.where(ends, pos, n)[:, ::-1], axis=-1)[:, ::-1]
         pos = 0.5 * (first + last)
-    ranks = np.empty(x.shape)
-    np.put_along_axis(ranks, order, pos + 1.0, axis=0)
-    return ranks
+    ranks = np.empty(rows.shape)
+    np.put_along_axis(ranks, order, pos + 1.0, axis=-1)
+    return ranks.T
+
+
+def _rank_correlation(x: np.ndarray) -> np.ndarray:
+    """Spearman correlation matrix of the columns of an (n, L) array, with average ranks
+    for ties; a constant column carries no rank signal and correlates 0 with every other."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rho = np.corrcoef(_average_ranks(x), rowvar=False)
+    return np.nan_to_num(rho, nan=0.0)
 
 
 def spearman_mean(windows: np.ndarray) -> float:
@@ -159,9 +174,7 @@ def spearman_mean(windows: np.ndarray) -> float:
         raise ValueError(f"need at least 3 samples for rank correlation, got {n}")
     if not np.all(np.isfinite(w)):
         raise ValueError("windows must be finite to be ranked (found nan or inf)")
-    with np.errstate(invalid="ignore", divide="ignore"):
-        rho = np.corrcoef(_average_ranks(w), rowvar=False)
-    rho = np.nan_to_num(rho, nan=0.0)  # constant columns carry no rank signal
+    rho = _rank_correlation(w)
     abs_sum = float(np.sum(np.abs(rho))) - float(np.sum(np.abs(np.diag(rho))))
     return abs_sum / (L**2 - L)
 

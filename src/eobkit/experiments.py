@@ -23,9 +23,9 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import losses, transforms
-from .diagnostics import SurfacePoint, _average_ranks, sliding_windows
+from .diagnostics import SurfacePoint, _rank_correlation, sliding_windows
 from .gradcheck import central_difference, relative_error
-from .processes import (ARSpec, DeterministicSpec, HybridSpec, _cast, _int, make_rng,
+from .processes import (ARSpec, DeterministicSpec, HybridSpec, _cast, _float, _int, make_rng,
                         synthesize_deterministic, synthesize_hybrid)
 from .theory import solve_yule_walker
 
@@ -93,6 +93,7 @@ class LossSpec(losses.HarmonizedConfig):
 
     def __post_init__(self):
         super().__post_init__()
+        _cast(self, beta=_float)
         if self.kind not in ("temporal", "harmonized"):
             raise ValueError(f"loss kind must be 'temporal' or 'harmonized', got {self.kind!r}")
         if not 0.0 <= self.beta < 1.0:
@@ -111,7 +112,7 @@ class TrainConfig:
     check_gradients: bool = True
 
     def __post_init__(self):
-        _cast(self, max_epochs=_int, patience=_int, batch_size=_int)
+        _cast(self, lr=_float, max_epochs=_int, patience=_int, batch_size=_int, split=_float)
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError(f"optimizer must be 'sgd' or 'adam', got {self.optimizer!r}")
         if self.lr < 0.0:
@@ -139,16 +140,14 @@ class GridSpec:
     det_period: int = 128
 
     def __post_init__(self):
-        _cast(self, ssnr_x_values=lambda v: tuple(map(float, v)),
+        _cast(self, ssnr_x_values=lambda v: tuple(map(_float, v)),
               horizons=lambda v: tuple(map(_int, v)), history=_int, series_length=_int,
-              replications=_int, seed=_int, det_harmonics=_int, det_fmax=_int,
-              det_period=_int)
+              replications=_int, seed=_int, ssnr_z=_float, sigma_eps2=_float,
+              det_harmonics=_int, det_fmax=_int, det_period=_int)
         if not self.ssnr_x_values or not self.horizons:
             raise ValueError("ssnr_x_values and horizons must be non-empty")
         if self.replications < 1:
             raise ValueError(f"replications must be >= 1, got {self.replications}")
-        if not all(map(math.isfinite, (*self.ssnr_x_values, self.ssnr_z, self.sigma_eps2))):
-            raise ValueError("ssnr_x_values, ssnr_z and sigma_eps2 must be finite")
         if any(v < self.ssnr_z for v in self.ssnr_x_values):
             raise ValueError(
                 f"every ssnr_x must be >= the stochastic floor ssnr_z={self.ssnr_z}")
@@ -533,15 +532,11 @@ def paradox_trend_test(points: list[SurfacePoint]) -> list[TrendStats]:
                for lv in levels}
         rel = {lv: float(np.mean([pt.mse_relative for pt in rows if pt.ssnr_x == lv]))
                for lv in levels}
-        eta_values = [eta[lv] for lv in levels]
-        if len(set(eta_values)) == 1:
-            corr = 0.0  # constant series carries no trend
-        else:
-            ranks = _average_ranks(np.column_stack([levels, eta_values]))
-            corr = float(np.corrcoef(ranks, rowvar=False)[0, 1])
+        # a constant eta series carries no trend: its rank correlation is 0
+        rho = _rank_correlation(np.column_stack([levels, [eta[lv] for lv in levels]]))
         violations = sum(1 for a, b in zip(levels, levels[1:]) if rel[b] > rel[a])
         out.append(TrendStats(horizon=horizon, n_levels=len(levels),
-                              spearman_ssnr_eta=corr, mse_rel_violations=violations,
+                              spearman_ssnr_eta=float(rho[0, 1]), mse_rel_violations=violations,
                               eta_by_ssnr=eta, mse_rel_by_ssnr=rel))
     return out
 

@@ -41,7 +41,7 @@ from typing import Callable
 import numpy as np
 
 from . import transforms
-from .processes import _cast, _int
+from .processes import _cast, _float, _int
 
 __all__ = [
     "EmaMagnitudes",
@@ -141,7 +141,7 @@ class HarmonizedConfig:
     levels: int = 1
 
     def __post_init__(self):
-        _cast(self, levels=_int)
+        _cast(self, gamma=_float, eps=_float, levels=_int)
         if self.norm not in ("l1", "l2"):
             raise ValueError(f"norm must be 'l1' or 'l2', got {self.norm!r}")
         if self.transform not in ("dft", "dwt", "identity"):
@@ -151,10 +151,10 @@ class HarmonizedConfig:
                              f"got {self.wavelet!r}")
         if self.levels < 1:
             raise ValueError(f"levels must be >= 1, got {self.levels}")
-        if not math.isfinite(self.gamma) or self.gamma < 0.0:
-            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
-        if not math.isfinite(self.eps) or self.eps <= 0.0:
-            raise ValueError(f"eps must be finite and > 0, got {self.eps}")
+        if self.gamma < 0.0:
+            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
+        if self.eps <= 0.0:
+            raise ValueError(f"eps must be > 0, got {self.eps}")
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +178,7 @@ def _forward_coeffs(x: np.ndarray, transform: str, wavelet: str, levels: int) ->
     if transform == "dft":
         return transforms.dft_forward(x)
     if transform == "dwt":
-        return transforms.dwt_forward(x, wavelet, levels).coeffs
+        return transforms._dwt_analysis(x, wavelet, levels)
     if transform == "identity":
         return x
     raise ValueError(f"transform must be dft, dwt or identity, got {transform!r}")
@@ -188,7 +188,7 @@ def _pullback(g: np.ndarray, transform: str, wavelet: str, levels: int) -> np.nd
     if transform == "dft":
         return transforms.dft_inverse(g)
     if transform == "dwt":
-        return transforms.dwt_inverse(transforms.WaveletCoeffs(g, levels, wavelet))
+        return transforms._dwt_synthesis(g, wavelet, levels)
     return g
 
 

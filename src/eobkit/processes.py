@@ -50,6 +50,15 @@ def _int(value) -> int:
     return int(value)
 
 
+def _float(value) -> float:
+    """Cast for float fields: 0.5 and 1 pass; nan, inf, "0.5" and booleans raise."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise ValueError(f"expected a real number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {value!r}")
+    return float(value)
+
+
 def make_rng(seed: SeedLike) -> np.random.Generator:
     """Philox generator keyed by an integer seed or a SeedSequence."""
     if isinstance(seed, np.random.SeedSequence):

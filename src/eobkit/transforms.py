@@ -120,6 +120,16 @@ class WaveletCoeffs:
             raise ValueError(f"coefficient shape {coeffs.shape} must end in a positive length "
                              f"divisible by 2^{self.levels}")
 
+    @classmethod
+    def _wrap(cls, coeffs: np.ndarray, levels: int, wavelet: str) -> "WaveletCoeffs":
+        """Coefficients from an analysis that checked its input: no copy and no second check.
+        The array must be fresh and read-only, so that no other reference can change it."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "coeffs", coeffs)
+        object.__setattr__(w, "levels", levels)
+        object.__setattr__(w, "wavelet", wavelet)
+        return w
+
     @property
     def length(self) -> int:
         return self.coeffs.shape[-1]
@@ -178,12 +188,14 @@ def _filter_bank_forward(x: np.ndarray, wavelet: str, levels: int) -> np.ndarray
     return np.concatenate([approx] + details[::-1], axis=-1)
 
 
-def _filter_bank_inverse(w: WaveletCoeffs) -> np.ndarray:
-    h, g = _filters(w.wavelet)
-    blocks = w.blocks()
-    approx = blocks[f"a{w.levels}"]
-    for level in range(w.levels, 0, -1):
-        approx = _synthesis_step(approx, blocks[f"d{level}"], h, g)
+def _filter_bank_inverse(coeffs: np.ndarray, wavelet: str, levels: int) -> np.ndarray:
+    """Pyramidal synthesis of the last axis, the bands laid out as _filter_bank_forward's."""
+    h, g = _filters(wavelet)
+    size = coeffs.shape[-1] >> levels
+    approx = coeffs[..., :size]
+    for _ in range(levels):
+        approx = _synthesis_step(approx, coeffs[..., size:2 * size], h, g)
+        size *= 2
     return approx
 
 
@@ -201,9 +213,9 @@ def _dwt_operator(length: int, wavelet: str, levels: int) -> np.ndarray:
     return op
 
 
-def dwt_forward(x: np.ndarray, wavelet: str = "haar", levels: int = 1) -> WaveletCoeffs:
-    """Periodized analysis of the last axis of (..., L): one cached matrix product for
-    window lengths, the O(L)-per-level filter bank for long series."""
+def _dwt_analysis(x: np.ndarray, wavelet: str, levels: int) -> np.ndarray:
+    """Coefficients of the last axis of (..., L) as a fresh read-only array: one cached
+    matrix product for window lengths, the O(L)-per-level filter bank for long series."""
     x = np.asarray(x, dtype=float)
     if levels < 1:
         raise ValueError(f"levels must be >= 1, got {levels}")
@@ -216,16 +228,28 @@ def dwt_forward(x: np.ndarray, wavelet: str = "haar", levels: int = 1) -> Wavele
         coeffs = (x.reshape(-1, L) @ _dwt_operator(L, wavelet, levels)).reshape(x.shape)
     else:
         coeffs = _filter_bank_forward(x, wavelet, levels)
-    return WaveletCoeffs(coeffs=coeffs, levels=levels, wavelet=wavelet)
+    coeffs.flags.writeable = False
+    return coeffs
+
+
+def _dwt_synthesis(coeffs: np.ndarray, wavelet: str, levels: int) -> np.ndarray:
+    """Inverse of _dwt_analysis on coefficients of a length it accepted: the transpose of
+    the orthogonal analysis, shaped like coeffs."""
+    L = coeffs.shape[-1]
+    if L <= _DENSE_MAX_LENGTH:
+        op = _dwt_operator(L, wavelet, levels)
+        return (coeffs.reshape(-1, L) @ op.T).reshape(coeffs.shape)
+    return _filter_bank_inverse(coeffs, wavelet, levels)
+
+
+def dwt_forward(x: np.ndarray, wavelet: str = "haar", levels: int = 1) -> WaveletCoeffs:
+    """Periodized analysis of the last axis of (..., L); the coefficients are read-only."""
+    return WaveletCoeffs._wrap(_dwt_analysis(x, wavelet, levels), levels, wavelet)
 
 
 def dwt_inverse(w: WaveletCoeffs) -> np.ndarray:
     """Synthesis by transposition of the orthogonal analysis; exact inverse, shaped like w."""
-    L = w.length
-    if L <= _DENSE_MAX_LENGTH:
-        op = _dwt_operator(L, w.wavelet, w.levels)
-        return (w.coeffs.reshape(-1, L) @ op.T).reshape(w.coeffs.shape)
-    return _filter_bank_inverse(w)
+    return _dwt_synthesis(w.coeffs, w.wavelet, w.levels)
 
 
 def dwt_matrix(length: int, wavelet: str = "haar", levels: int = 1) -> np.ndarray:

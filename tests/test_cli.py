@@ -241,6 +241,24 @@ class TestIntegerFields:
         assert f"DeterministicSpec.{key}" in captured.err
 
 
+class TestFloatFields:
+    @pytest.mark.parametrize("bad", ["0.5", True], ids=["string", "bool"])
+    @pytest.mark.parametrize("section,key", [
+        ("grid", "ssnr_x_values"), ("grid", "ssnr_z"), ("grid", "sigma_eps2"),
+        ("train", "lr"), ("train", "split"),
+        ("loss", "gamma"), ("loss", "eps"), ("loss", "beta"),
+    ])
+    def test_simulate_rejects_non_real(self, section, key, bad, tmp_path, capsys):
+        doc = json.loads(json.dumps(GRID_CONFIG))
+        doc[section][key] = [32.0, bad] if key == "ssnr_x_values" else bad
+        src = tmp_path / "grid.json"
+        src.write_text(json.dumps(doc))
+        assert run_cli("simulate", "--grid", str(src), "--jobs", "1") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f".{key}: expected a real number, got {bad!r}" in captured.err
+
+
 class TestLossConfigAtParse:
     """Bad loss values exit 1 before any cell runs, not 2 after every cell failed."""
 

@@ -126,12 +126,21 @@ class TestSpearman:
 
 
 class TestAverageRanks:
-    @settings(max_examples=100, deadline=None)
-    @given(n=st.integers(1, 60), L=st.integers(1, 5), levels=st.integers(1, 6),
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 200), L=st.integers(1, 8),
+           draw=st.sampled_from(["ties", "continuous", "constant"]), levels=st.integers(1, 6),
            seed=st.integers(0, 2**16))
-    def test_equals_rankdata_under_ties(self, n, L, levels, seed):
-        x = np.random.default_rng(seed).integers(0, levels, (n, L)).astype(float)
-        assert np.array_equal(_average_ranks(x), stats.rankdata(x, axis=0))
+    def test_equals_rankdata(self, n, L, draw, levels, seed):
+        """The unstable sort ranks exactly as scipy: tie-heavy integers (signed zeros
+        among them), continuous draws, and constant columns among continuous ones."""
+        rng = np.random.default_rng(seed)
+        if draw == "ties":
+            x = rng.integers(0, levels, (n, L)) * rng.choice([-1.0, 1.0], (n, L))
+        else:
+            x = rng.normal(size=(n, L))
+        if draw == "constant":
+            x[:, rng.random(L) < 0.5] = rng.normal()
+        assert np.array_equal(_average_ranks(x), stats.rankdata(x, method="average", axis=0))
 
     def test_equals_rankdata_without_ties(self, rng):
         x = rng.normal(size=(500, 3))

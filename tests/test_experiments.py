@@ -87,9 +87,9 @@ class TestTrainModel:
     def test_validation_pass_runs_no_pullback(self, rng, monkeypatch):
         # one batch per epoch: the training batch is the only gradient read
         calls = []
-        inverse = transforms.dwt_inverse
-        monkeypatch.setattr(transforms, "dwt_inverse",
-                            lambda w: calls.append(w.coeffs.shape) or inverse(w))
+        synthesis = transforms._dwt_synthesis
+        monkeypatch.setattr(transforms, "_dwt_synthesis",
+                            lambda c, *args: calls.append(c.shape) or synthesis(c, *args))
         X, Y = rng.normal(size=(64, 8)), rng.normal(size=(64, 8))
         spec = ModelSpec(kind="linear", input_len=8, output_len=8)
         loss = LossSpec(kind="harmonized", norm="l2", transform="dwt", wavelet="db2")

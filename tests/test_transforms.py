@@ -229,10 +229,10 @@ def test_dense_operator_matches_filter_bank(case):
     np.testing.assert_allclose(x @ op, bank, rtol=0, atol=1e-12 * np.max(np.abs(x)))
     np.testing.assert_allclose(dwt_forward(x, wavelet, levels).coeffs, bank,
                                rtol=0, atol=1e-12 * np.max(np.abs(x)))
-    w = WaveletCoeffs(c, levels, wavelet)
-    bank_inv = transforms._filter_bank_inverse(w)
+    bank_inv = transforms._filter_bank_inverse(c, wavelet, levels)
     np.testing.assert_allclose(c @ op.T, bank_inv, rtol=0, atol=1e-12 * np.max(np.abs(c)))
-    np.testing.assert_allclose(dwt_inverse(w), bank_inv, rtol=0, atol=1e-12 * np.max(np.abs(c)))
+    np.testing.assert_allclose(dwt_inverse(WaveletCoeffs(c, levels, wavelet)), bank_inv,
+                               rtol=0, atol=1e-12 * np.max(np.abs(c)))
 
 
 @pytest.mark.parametrize("length", [64, 512])
@@ -248,6 +248,28 @@ def test_mutating_results_leaves_later_calls_unchanged(length, rng):
     np.testing.assert_array_equal(dwt_matrix(length, "db2", 3), matrix)
     np.testing.assert_allclose(dwt_inverse(WaveletCoeffs(expected, 3, "db2")), x,
                                rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("shape", [(32,), (3, 64), (2, 512)])
+def test_forward_result_is_read_only_and_fresh(shape, rng):
+    """dwt_forward wraps its result without the constructor's copy: the array is new,
+    read-only, and the analysis of x."""
+    x = rng.normal(size=shape)
+    coeffs = dwt_forward(x, "db2", 2).coeffs
+    assert not coeffs.flags.writeable
+    assert not np.shares_memory(coeffs, x)
+    np.testing.assert_allclose(coeffs, x @ dwt_matrix(shape[-1], "db2", 2).T,
+                               rtol=0, atol=1e-12 * np.max(np.abs(x)))
+
+
+@pytest.mark.parametrize("coeffs,levels", [
+    (np.ones(8), 0), (np.float64(1.0), 1), (np.ones((3, 0)), 1),
+], ids=["no-levels", "scalar", "empty-rows"])
+def test_constructor_still_checks_shapes(coeffs, levels):
+    """The public constructor keeps the checks that dwt_forward's wrap skips (the
+    indivisible length is in TestBatchedDwt)."""
+    with pytest.raises(ValueError, match="levels|positive length"):
+        WaveletCoeffs(coeffs, levels, "haar")
 
 
 def test_long_series_build_no_operator(rng):
