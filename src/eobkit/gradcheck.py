@@ -33,12 +33,16 @@ def central_difference(fn: Callable[[np.ndarray], np.ndarray], x_hat: np.ndarray
     """Central finite differences of a per-row function of a 1-D prediction.
 
     `fn` gets every probe in one call, as a (2L, L) stack: rows x_hat + h*e_i,
-    then rows x_hat - h*e_i. It returns their 2L values.
+    then rows x_hat - h*e_i. It returns their 2L values. The stack is one copy
+    of x_hat per row with the steps added on its two diagonals.
     """
     L = x_hat.size
     h = h_scale * max(1.0, float(np.max(np.abs(x_hat))))
-    step = h * np.eye(L)
-    values = fn(np.concatenate([x_hat + step, x_hat - step]))
+    probes = np.broadcast_to(x_hat, (2 * L, L)).copy()
+    i = np.arange(L)
+    probes[i, i] += h
+    probes[L + i, i] -= h
+    values = fn(probes)
     return (values[:L] - values[L:]) / (2.0 * h)
 
 
@@ -51,9 +55,13 @@ def relative_error(analytic: np.ndarray, fd: np.ndarray) -> float:
 # Margin-safe instance constructors
 # ---------------------------------------------------------------------------
 
+_SIGNS = np.array([-1.0, 1.0])
+
+
 def _signed(rng: np.random.Generator, lo: float, hi: float, size: int) -> np.ndarray:
-    """Random signs times magnitudes in [lo, hi]."""
-    return rng.choice([-1.0, 1.0], size=size) * rng.uniform(lo, hi, size=size)
+    """Random signs times magnitudes in [lo, hi]; the signs are the stream of
+    rng.choice([-1.0, 1.0], size), drawn without choice's overhead."""
+    return _SIGNS[rng.integers(0, 2, size)] * rng.uniform(lo, hi, size=size)
 
 
 def _bins(L: int) -> tuple[np.ndarray, np.ndarray]:
