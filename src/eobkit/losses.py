@@ -5,18 +5,23 @@ Conventions shared by every loss here:
 * signature is (target, prediction); the reported gradient is taken with
   respect to the prediction and lives in the temporal domain;
 * sgn(0) = 0 (subgradient choice at kinks);
-* spectra use the unitary DFT, so sums run over all L complex bins --
+* spectra use the unitary DFT, and sums run over all L complex bins --
   conjugate-symmetric pairs are double counted uniformly, a constant
-  factor that does not move any minimizer;
+  factor that does not move any minimizer. A real signal's spectrum is
+  fixed by its bins 0..L//2, so the losses compute on that half spectrum
+  and count each bin with its multiplicity (1 at DC and Nyquist, 2
+  elsewhere), which gives the full sums; per-bin weights of bins k and
+  L - k are folded into their mean. The public `transforms.dft_forward`
+  and `coefficient_magnitudes` stay full;
 * phase terms exclude bins whose predicted (or error) amplitude falls
   below the configured eps, since the phase gradient carries a 1/amplitude
   factor that blows up on empty bins.
 
 Gradients of coefficient-domain losses are pulled back to the temporal
-domain through the transform adjoint: for the unitary DFT that is
-`transforms.dft_inverse` applied to the coefficient gradient
-(d/dRe + j*d/dIm), and for orthogonal real transforms it is the inverse
-transform itself.
+domain through the transform adjoint: for the half spectrum that is
+`transforms._rdft_synthesis` (an inverse real FFT, which carries the
+multiplicities) applied to the per-bin gradient (d/dRe + j*d/dIm), and for
+orthogonal real transforms it is the inverse transform itself.
 
 All functions act on the last axis of (..., L) arrays and return values per
 row; the caller reduces over rows. The target broadcasts to the
@@ -184,9 +189,10 @@ def _forward_coeffs(x: np.ndarray, transform: str, wavelet: str, levels: int) ->
     raise ValueError(f"transform must be dft, dwt or identity, got {transform!r}")
 
 
-def _pullback(g: np.ndarray, transform: str, wavelet: str, levels: int) -> np.ndarray:
+def _pullback(g: np.ndarray, L: int, transform: str, wavelet: str, levels: int) -> np.ndarray:
+    """Temporal gradient of length L from a coefficient gradient (a half spectrum for dft)."""
     if transform == "dft":
-        return transforms.dft_inverse(g)
+        return transforms._rdft_synthesis(g, L)
     if transform == "dwt":
         return transforms._dwt_synthesis(g, wavelet, levels)
     return g
@@ -205,15 +211,27 @@ def _coefficient_loss(x: np.ndarray, x_hat: np.ndarray, weights: float | np.ndar
 
     The one kernel of every loss linear in the coefficients: `weights` is 1 or
     one weight per bin, pen is |.| or (.)^2 on the real and imaginary parts,
-    and the gradient is pulled back through the transform's adjoint.
+    and the gradient is pulled back through the transform's adjoint. For dft,
+    d is the half spectrum: pen(d_k) = pen(d_{L-k}), so the full sum is
+    sum_k m_k w~_k pen(d_k) over bins 0..L//2 with w~_k = (w_k + w_{L-k})/2,
+    exact for any weights, and w~ * pen'(d) pulls back through the synthesis.
     """
     x, x_hat = _check_lengths(x, x_hat)
-    if np.ndim(weights) and np.shape(weights) != x_hat.shape[-1:]:
+    L = x_hat.shape[-1]
+    if np.ndim(weights) and np.shape(weights) != (L,):
         raise ValueError(f"length mismatch: weights of shape {np.shape(weights)}, "
-                         f"series of length {x_hat.shape[-1]}")
-    d = _forward_coeffs(x - x_hat, transform, wavelet, levels)
-    pen = (_penalty(d.real, norm) + _penalty(d.imag, norm) if np.iscomplexobj(d)
-           else _penalty(d, norm))
+                         f"series of length {L}")
+    if transform == "dft":
+        d = transforms._rdft_analysis(x - x_hat)
+        multiplicity, mirror = transforms._rdft_bins(L)
+        if np.ndim(weights):
+            weights = 0.5 * (weights[:mirror.size] + weights[mirror])
+        value_weights = multiplicity * weights
+        pen = _penalty(d.real, norm) + _penalty(d.imag, norm)
+    else:
+        d = _forward_coeffs(x - x_hat, transform, wavelet, levels)
+        value_weights = weights
+        pen = _penalty(d, norm)
 
     def grad() -> np.ndarray:
         if norm == "l2":
@@ -222,9 +240,9 @@ def _coefficient_loss(x: np.ndarray, x_hat: np.ndarray, weights: float | np.ndar
             g = -weights * (np.sign(d.real) + 1j * np.sign(d.imag))
         else:
             g = -weights * np.sign(d)
-        return _pullback(g, transform, wavelet, levels)
+        return _pullback(g, L, transform, wavelet, levels)
 
-    return LossEval(value=np.sum(weights * pen, axis=-1), _grad_fn=grad)
+    return LossEval(value=np.sum(value_weights * pen, axis=-1), _grad_fn=grad)
 
 
 # ---------------------------------------------------------------------------
@@ -289,28 +307,33 @@ def freq_amp_phase(x: np.ndarray, x_hat: np.ndarray, norm: str = "l2",
     Phase differences are wrapped into (-pi, pi]. Bins whose predicted
     amplitude is below eps are excluded from the phase term entirely: the
     phase gradient scales with 1/amplitude and explodes on empty bins.
+    Both spectra are halved: amplitudes and wrapped phase gaps of bin L - k
+    equal those of bin k up to sign, so each half bin counts m_k times.
     """
     if norm not in ("l1", "l2"):
         raise ValueError(f"norm must be 'l1' or 'l2', got {norm!r}")
     x, x_hat = _check_lengths(x, x_hat)
-    amp, phase = _amp_phase_of(transforms.dft_forward(x))
-    amp_hat, phase_hat = _amp_phase_of(transforms.dft_forward(x_hat))
+    L = x_hat.shape[-1]
+    multiplicity = transforms._rdft_bins(L)[0]
+    amp, phase = _amp_phase_of(transforms._rdft_analysis(x))
+    amp_hat, phase_hat = _amp_phase_of(transforms._rdft_analysis(x_hat))
     amp_diff = amp - amp_hat
     alive = amp_hat >= eps
     phase_diff = np.where(alive, _wrap_phase(phase - phase_hat), 0.0)
-    amp_value = np.sum(_penalty(amp_diff, norm), axis=-1)
-    phase_value = np.sum(_penalty(phase_diff, norm), axis=-1)
+    amp_value = np.sum(multiplicity * _penalty(amp_diff, norm), axis=-1)
+    phase_value = np.sum(multiplicity * _penalty(phase_diff, norm), axis=-1)
 
     def amp_grad() -> np.ndarray:
         de_damp = -2.0 * amp_diff if norm == "l2" else -np.sign(amp_diff)
-        return transforms.dft_inverse(de_damp * (np.cos(phase_hat) + 1j * np.sin(phase_hat)))
+        return transforms._rdft_synthesis(
+            de_damp * (np.cos(phase_hat) + 1j * np.sin(phase_hat)), L)
 
     def phase_grad() -> np.ndarray:
         de_dphase = -2.0 * phase_diff if norm == "l2" else -np.sign(phase_diff)
         inv_amp = np.where(alive, 1.0 / np.where(alive, amp_hat, 1.0), 0.0)
         # d(phase_hat)/d(re, im) = (-sin, cos)/amp_hat
-        return transforms.dft_inverse(
-            de_dphase * inv_amp * (-np.sin(phase_hat) + 1j * np.cos(phase_hat)))
+        return transforms._rdft_synthesis(
+            de_dphase * inv_amp * (-np.sin(phase_hat) + 1j * np.cos(phase_hat)), L)
 
     return _sum_of_parts({"amplitude": LossEval(value=amp_value, _grad_fn=amp_grad),
                           "phase": LossEval(value=phase_value, _grad_fn=phase_grad)})
@@ -326,28 +349,33 @@ def freq_error_amp_phase(x: np.ndarray, x_hat: np.ndarray, norm: str = "l2",
     unit-modulus spectrum, i.e. it whitens the update across frequencies.
     Error-phase terms are guarded by the amplitude threshold eps, and the
     whole loss degenerates to zero value and zero gradient at x_hat = x.
+    The error spectrum is halved, each bin counting m_k times, as in
+    freq_amp_phase.
     """
     if norm not in ("l1", "l2"):
         raise ValueError(f"norm must be 'l1' or 'l2', got {norm!r}")
     x, x_hat = _check_lengths(x, x_hat)
-    fe = transforms.dft_forward(x - x_hat)
+    L = x_hat.shape[-1]
+    multiplicity = transforms._rdft_bins(L)[0]
+    fe = transforms._rdft_analysis(x - x_hat)
     err_amp, err_phase = _amp_phase_of(fe)
     alive = err_amp >= eps
     phase_term = np.where(alive, err_phase, 0.0)
-    amp_value = np.sum(_penalty(err_amp, norm), axis=-1)
-    phase_value = np.sum(_penalty(phase_term, norm), axis=-1)
+    amp_value = np.sum(multiplicity * _penalty(err_amp, norm), axis=-1)
+    phase_value = np.sum(multiplicity * _penalty(phase_term, norm), axis=-1)
 
     def amp_grad() -> np.ndarray:
         if norm == "l2":
             # identical to the temporal squared error; gradient -2(x - x_hat)
-            return -transforms.dft_inverse(2.0 * fe)
-        return -transforms.dft_inverse(np.where(alive, np.exp(1j * err_phase), 0.0))
+            return -transforms._rdft_synthesis(2.0 * fe, L)
+        return -transforms._rdft_synthesis(np.where(alive, np.exp(1j * err_phase), 0.0), L)
 
     def phase_grad() -> np.ndarray:
         de_dphase = 2.0 * phase_term if norm == "l2" else np.sign(phase_term)
         inv_amp2 = np.where(alive, 1.0 / np.where(alive, err_amp**2, 1.0), 0.0)
         # d(err_phase)/d(fe) = (-Im fe, Re fe)/|fe|^2 and d(fe)/d(x_hat) = -U
-        return -transforms.dft_inverse(de_dphase * inv_amp2 * (-fe.imag + 1j * fe.real))
+        return -transforms._rdft_synthesis(
+            de_dphase * inv_amp2 * (-fe.imag + 1j * fe.real), L)
 
     return _sum_of_parts({"error_amplitude": LossEval(value=amp_value, _grad_fn=amp_grad),
                           "error_phase": LossEval(value=phase_value, _grad_fn=phase_grad)})

@@ -4,7 +4,9 @@ Both act on the last axis of (..., L) arrays, so one call transforms a
 batch of windows. The DFT returns complex coefficients with the unitary
 normalization 1/sqrt(L), so energy is preserved (Parseval); its inverse
 keeps the real part, which is also the adjoint that pulls coefficient
-gradients back to real signals.
+gradients back to real signals. The public DFT stays full (all L bins); the
+losses read the half spectrum (bins 0..L//2, `_rdft_analysis`) of their
+real residuals and pull gradients back with its adjoint, `_rdft_synthesis`.
 
 The DWT is the pyramidal filter-bank scheme with periodic boundary
 extension, which keeps the analysis matrix W strictly orthogonal
@@ -59,6 +61,35 @@ def dft_inverse(f: np.ndarray) -> np.ndarray:
     gradients (d/dRe + j*d/dIm) back to the temporal domain.
     """
     return np.fft.ifft(f, norm="ortho", axis=-1).real
+
+
+# The losses read the half spectrum of a real signal, bins 0..L//2: the rest are
+# conjugate mirrors. Bin k stands for m_k bins of the full spectrum, m_k = 1 at DC
+# and at Nyquist (even L) and 2 elsewhere, so that for real x and any half spectrum g
+#     Re<_rdft_analysis(x), m * g> = <x, _rdft_synthesis(g, L)>:
+# the synthesis, which drops the imaginary parts of the DC and Nyquist bins, is the
+# pullback of a sum over half-spectrum bins weighted by m.
+
+def _rdft_analysis(x: np.ndarray) -> np.ndarray:
+    """Bins 0..L//2 of the unitary DFT of the real last axis of (..., L)."""
+    return np.fft.rfft(x, norm="ortho", axis=-1)
+
+
+def _rdft_synthesis(g: np.ndarray, L: int) -> np.ndarray:
+    """Real signals of length L from half spectra g (L//2 + 1 bins on the last axis):
+    the adjoint of _rdft_analysis under the multiplicity-weighted inner product."""
+    return np.fft.irfft(g, n=L, norm="ortho", axis=-1)
+
+
+@functools.lru_cache(maxsize=64)
+def _rdft_bins(L: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only multiplicities m_k and mirror bins (L - k) mod L of the half spectrum."""
+    k = np.arange(L // 2 + 1)
+    multiplicity = np.where((k == 0) | (2 * k == L), 1.0, 2.0)
+    mirror = -k % L
+    multiplicity.flags.writeable = False
+    mirror.flags.writeable = False
+    return multiplicity, mirror
 
 
 def real_fourier_coordinates(x: np.ndarray) -> np.ndarray:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eobkit import gradcheck, transforms
@@ -12,6 +12,7 @@ from eobkit.losses import (EmaMagnitudes, HarmonizedConfig, freq_amp_phase,
                            harmonized_l1, harmonized_l2, temporal_l1, temporal_l2,
                            update_ema, whitened_loss)
 from eobkit.transforms import dft_forward, dft_inverse
+from test_transforms import dft_cases
 
 
 class TestTemporal:
@@ -367,14 +368,17 @@ _FLAT = EmaMagnitudes(f_bar=np.linspace(0.1, 2.0, 16), beta=0.3)
     lambda x, x_hat: whitened_loss(x, x_hat, _FLAT.f_bar, "l1"),
 ], ids=["freq_real_imag_l1", "freq_real_imag_l2", "harmonized_l1", "harmonized_l2", "whitened"])
 def test_linear_losses_transform_the_residual_once(loss, monkeypatch, rng):
+    """One forward transform, full or half spectrum, of the residual per call."""
     shapes = []
-    fft = np.fft.fft
 
-    def counting(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return fft(a, *args, **kwargs)
+    def counting(fn):
+        def wrapped(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return fn(a, *args, **kwargs)
+        return wrapped
 
-    monkeypatch.setattr(np.fft, "fft", counting)
+    monkeypatch.setattr(np.fft, "fft", counting(np.fft.fft))
+    monkeypatch.setattr(transforms, "_rdft_analysis", counting(transforms._rdft_analysis))
     ev = loss(rng.normal(size=16), rng.normal(size=(3, 16)))
     ev.grad_wrt_prediction
     assert shapes == [(3, 16)]
@@ -405,9 +409,11 @@ class TestLazyGradient:
         seen = []
 
         def counting(fn):
+            # the shape of the pulled-back signal: a half spectrum goes in, L samples out
             def wrapped(a, *args, **kwargs):
-                seen.append(np.shape(a))
-                return fn(a, *args, **kwargs)
+                out = fn(a, *args, **kwargs)
+                seen.append(np.shape(out))
+                return out
             return wrapped
 
         def record(fn):
@@ -421,6 +427,7 @@ class TestLazyGradient:
             case.make_loss(rng, L)(x, x_hat).grad_wrt_prediction
 
         monkeypatch.setattr(np.fft, "ifft", counting(np.fft.ifft))
+        monkeypatch.setattr(transforms, "_rdft_synthesis", counting(transforms._rdft_synthesis))
         monkeypatch.setattr(transforms, "_dwt_synthesis", counting(transforms._dwt_synthesis))
         suite = record(lambda: gradcheck.run_gradient_suite(
             lengths=(L,), instances=1, seed=0, names=(case.name,)))
@@ -429,3 +436,82 @@ class TestLazyGradient:
         pairs_only = record(lambda: case.make_pair(make_rng(0), L))
         temporal = case.name in ("temporal_l2", "temporal_l1", "harmonized_l1_identity")
         assert len(suite) == len(pairs_only) + (0 if temporal else 1 + ("phase" in case.name))
+
+
+def _full_spectrum_reference(name: str, x: np.ndarray, x_hat: np.ndarray,
+                             f_bar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Value per row and gradient of a DFT loss summed over all L bins of np.fft.fft."""
+    norm = name[-2:]
+    pen = np.square if norm == "l2" else np.abs
+    dpen = (lambda r: 2.0 * r) if norm == "l2" else np.sign
+
+    def spectrum(a):
+        return np.fft.fft(a, norm="ortho", axis=-1)
+
+    def pullback(g):
+        return np.fft.ifft(g, norm="ortho", axis=-1).real
+
+    def polar(c):
+        amp = np.abs(c)
+        return amp, np.where(amp > 0.0, np.angle(c), 0.0)
+
+    if name.startswith("amp_phase"):
+        (amp, phase), (amp_hat, phase_hat) = polar(spectrum(x)), polar(spectrum(x_hat))
+        alive = amp_hat >= 1e-8
+        gap = np.mod(phase - phase_hat + math.pi, 2.0 * math.pi) - math.pi
+        gap = np.where(alive, np.where(gap == -math.pi, math.pi, gap), 0.0)
+        inv_amp = np.where(alive, 1.0 / np.where(alive, amp_hat, 1.0), 0.0)
+        value = np.sum(pen(amp - amp_hat) + pen(gap), axis=-1)
+        grad = pullback(-dpen(amp - amp_hat) * np.exp(1j * phase_hat)
+                        - dpen(gap) * inv_amp * 1j * np.exp(1j * phase_hat))
+        return value, grad
+    if name.startswith("error_amp_phase"):
+        fe = spectrum(x - x_hat)
+        amp, phase = polar(fe)
+        alive = amp >= 1e-8
+        phase = np.where(alive, phase, 0.0)
+        inv_amp2 = np.where(alive, 1.0 / np.where(alive, amp**2, 1.0), 0.0)
+        amp_grad = 2.0 * fe if norm == "l2" else np.where(alive, np.exp(1j * phase), 0.0)
+        value = np.sum(pen(amp) + pen(phase), axis=-1)
+        grad = -pullback(amp_grad + dpen(phase) * inv_amp2 * 1j * fe)
+        return value, grad
+    weights = {"harmonized_l1": 1.0 + 0.5 * f_bar, "harmonized_l2": 1.0 + 0.5 / (f_bar + 1e-8),
+               "whitened_l1": 1.0 / f_bar, "whitened_l2": 1.0 / f_bar**2}.get(name, 1.0)
+    d = spectrum(x - x_hat)
+    value = np.sum(weights * (pen(d.real) + pen(d.imag)), axis=-1)
+    return value, pullback(-weights * (dpen(d.real) + 1j * dpen(d.imag)))
+
+
+_DFT_LOSSES = {
+    "freq_real_imag_l1": lambda x, xh, f_bar: freq_real_imag_l1(x, xh),
+    "freq_real_imag_l2": lambda x, xh, f_bar: freq_real_imag_l2(x, xh),
+    "amp_phase_l1": lambda x, xh, f_bar: freq_amp_phase(x, xh, "l1"),
+    "amp_phase_l2": lambda x, xh, f_bar: freq_amp_phase(x, xh, "l2"),
+    "error_amp_phase_l1": lambda x, xh, f_bar: freq_error_amp_phase(x, xh, "l1"),
+    "error_amp_phase_l2": lambda x, xh, f_bar: freq_error_amp_phase(x, xh, "l2"),
+    "harmonized_l1": lambda x, xh, f_bar: harmonized_l1(
+        x, xh, EmaMagnitudes(f_bar=f_bar, beta=0.3), HarmonizedConfig(norm="l1", gamma=0.5)),
+    "harmonized_l2": lambda x, xh, f_bar: harmonized_l2(
+        x, xh, EmaMagnitudes(f_bar=f_bar, beta=0.3), HarmonizedConfig(norm="l2", gamma=0.5)),
+    "whitened_l1": lambda x, xh, f_bar: whitened_loss(x, xh, f_bar, "l1"),
+    "whitened_l2": lambda x, xh, f_bar: whitened_loss(x, xh, f_bar, "l2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DFT_LOSSES))
+@given(dft_cases())
+@example(((), 1, 0))
+@example(((3,), 2, 0))
+@example(((2, 3), 129, 1))
+@settings(max_examples=40, deadline=None)
+def test_half_spectrum_losses_match_the_full_spectrum(name, case):
+    """Half-spectrum sums with multiplicities and folded non-symmetric weights give the
+    full-spectrum value and gradient."""
+    batch, L, seed = case
+    rng = np.random.default_rng(seed)
+    x, x_hat = rng.normal(size=batch + (L,)), rng.normal(size=batch + (L,))
+    f_bar = rng.uniform(0.2, 2.0, size=L)
+    ev = _DFT_LOSSES[name](x, x_hat, f_bar)
+    value, grad = _full_spectrum_reference(name, x, x_hat, f_bar)
+    assert np.max(np.abs(ev.value - value)) <= 1e-12 * np.max(np.abs(value))
+    assert np.max(np.abs(ev.grad_wrt_prediction - grad)) <= 1e-12 * np.max(np.abs(grad))

@@ -325,3 +325,29 @@ def test_dft_on_the_last_axis_property(case):
     kept, discarded = truncate_spectrum(band, keep)
     np.testing.assert_array_equal(kept, band)
     np.testing.assert_array_equal(discarded, 0.0)
+
+
+@given(dft_cases())
+@example(((), 1, 0))
+@example(((3,), 2, 0))
+@example(((2, 3), 129, 1))
+@settings(max_examples=60, deadline=None)
+def test_half_spectrum_pair_is_adjoint_under_multiplicities(case):
+    """Re<rfft(x), m * g> = <x, irfft(g)> for any complex half spectrum g."""
+    batch, L, seed = case
+    rng = np.random.default_rng(seed)
+    H = L // 2 + 1
+    x = rng.normal(size=batch + (L,))
+    g = rng.normal(size=batch + (H,)) + 1j * rng.normal(size=batch + (H,))
+    f = transforms._rdft_analysis(x)
+    multiplicity, mirror = transforms._rdft_bins(L)
+    assert f.shape == batch + (H,)
+    assert not multiplicity.flags.writeable and not mirror.flags.writeable
+    np.testing.assert_array_equal(mirror, (L - np.arange(H)) % L)
+    assert np.sum(multiplicity) == L
+    np.testing.assert_allclose(f, dft_forward(x)[..., :H], rtol=0,
+                               atol=1e-12 * np.max(np.abs(x)) * math.sqrt(L))
+    assert np.max(np.abs(transforms._rdft_synthesis(f, L) - x)) < 1e-10
+    np.testing.assert_allclose(np.sum((np.conj(f) * multiplicity * g).real, axis=-1),
+                               np.sum(x * transforms._rdft_synthesis(g, L), axis=-1),
+                               rtol=0, atol=1e-12 * L * np.max(np.abs(g)) * np.max(np.abs(x)))
