@@ -33,12 +33,14 @@ SeedLike = Union[int, np.random.SeedSequence]
 
 
 def _cast(spec, **casts) -> None:
-    """Coerce fields of a frozen dataclass in place (JSON numbers come as int or float)."""
+    """Coerce fields of a frozen dataclass in place (JSON numbers come as int or float);
+    a failure names the field by its JSON key."""
     for name, cast in casts.items():
         try:
             object.__setattr__(spec, name, cast(getattr(spec, name)))
         except (TypeError, ValueError) as exc:
-            raise ValueError(f"{type(spec).__name__}.{name}: {exc}") from None
+            key = next(_json_key(f) for f in fields(spec) if f.name == name)
+            raise ValueError(f"{type(spec).__name__}.{key}: {exc}") from None
 
 
 def _int(value) -> int:
@@ -83,7 +85,7 @@ class Binomial:
     p: float
 
     def __post_init__(self):
-        _cast(self, n=_int)
+        _cast(self, n=_int, p=_float)
         if self.n < 1:
             raise ValueError(f"binomial requires n >= 1, got n={self.n}")
         if not 0.0 < self.p <= 1.0:
@@ -106,6 +108,7 @@ class Geometric:
     p: float
 
     def __post_init__(self):
+        _cast(self, p=_float)
         if not 0.0 < self.p <= 1.0:
             raise ValueError(f"geometric requires 0 < p <= 1, got p={self.p}")
 
@@ -128,6 +131,7 @@ class Gaussian:
     sigma: float
 
     def __post_init__(self):
+        _cast(self, mu=_float, sigma=_float)
         if self.sigma <= 0.0:
             raise ValueError(f"gaussian requires sigma > 0, got sigma={self.sigma}")
 
@@ -148,6 +152,7 @@ class Poisson:
     lam: float = field(metadata={"json_key": "lambda"})
 
     def __post_init__(self):
+        _cast(self, lam=_float)
         if self.lam <= 0.0:
             raise ValueError(f"poisson requires lambda > 0, got lambda={self.lam}")
 
@@ -169,6 +174,7 @@ class StudentT:
     alpha: float
 
     def __post_init__(self):
+        _cast(self, nu=_float, alpha=_float)
         if self.nu <= 2.0:
             raise ValueError(f"student_t requires nu > 2 for finite variance, got nu={self.nu}")
         if self.alpha <= 0.0:
@@ -192,6 +198,7 @@ class Uniform:
     b: float
 
     def __post_init__(self):
+        _cast(self, a=_float, b=_float)
         if not self.b > self.a:
             raise ValueError(f"uniform requires b > a, got a={self.a}, b={self.b}")
 
@@ -304,11 +311,9 @@ class ARSpec:
     sigma_eps2: float
 
     def __post_init__(self):
-        _cast(self, c=float, phi=lambda v: tuple(map(float, v)), sigma_eps2=float)
-        if not 0.0 < self.sigma_eps2 < math.inf:
-            raise ValueError(f"sigma_eps2 must be positive and finite, got {self.sigma_eps2}")
-        if not all(map(math.isfinite, (self.c,) + self.phi)):
-            raise ValueError(f"c and phi must be finite, got c={self.c}, phi={self.phi}")
+        _cast(self, c=_float, phi=lambda v: tuple(map(_float, v)), sigma_eps2=_float)
+        if self.sigma_eps2 <= 0.0:
+            raise ValueError(f"sigma_eps2 must be positive, got {self.sigma_eps2}")
         if not math.isclose(self.innovation.variance, self.sigma_eps2,
                             rel_tol=1e-9, abs_tol=1e-12):
             raise ValueError(
@@ -356,8 +361,8 @@ class DeterministicSpec:
     period: int
 
     def __post_init__(self):
-        _cast(self, base_amplitude=float, freqs=lambda v: tuple(map(_int, v)),
-              phases=lambda v: tuple(map(float, v)), period=_int)
+        _cast(self, base_amplitude=_float, freqs=lambda v: tuple(map(_int, v)),
+              phases=lambda v: tuple(map(_float, v)), period=_int)
         if len(self.freqs) == 0:
             raise ValueError("at least one harmonic frequency is required")
         if len(self.freqs) != len(self.phases):

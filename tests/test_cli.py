@@ -12,7 +12,7 @@ import pytest
 import eobkit
 from eobkit.cli import _fmt, _parse_experiment_config, main
 from eobkit.experiments import GridSpec, ModelSpec
-from eobkit.processes import hybrid_spec_from_dict
+from eobkit.processes import calibrate_innovation, hybrid_spec_from_dict, innovation_to_dict
 from test_experiments import tiny_grid
 
 
@@ -254,6 +254,38 @@ class TestFloatFields:
         src = tmp_path / "grid.json"
         src.write_text(json.dumps(doc))
         assert run_cli("simulate", "--grid", str(src), "--jobs", "1") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f".{key}: expected a real number, got {bad!r}" in captured.err
+
+
+_SPEC_FIELDS = [
+    ("student_t", "nu"), ("student_t", "alpha"), ("gaussian", "mu"), ("gaussian", "sigma"),
+    ("uniform", "a"), ("uniform", "b"), ("poisson", "lambda"), ("geometric", "p"),
+    ("binomial", "p"), ("ar", "c"), ("ar", "phi"), ("ar", "sigma_eps2"),
+    ("det", "base_amplitude"), ("det", "phases"),
+]
+
+
+class TestProcessSpecFields:
+    """A string or a boolean in a numeric field of a process spec exits 1, naming the field."""
+
+    @pytest.mark.parametrize("bad", ["3", True], ids=["string", "bool"])
+    @pytest.mark.parametrize("command,kind,key", [
+        (command, kind, key) for command in ("generate", "eob") for kind, key in _SPEC_FIELDS
+        if not (command == "eob" and kind == "det")])
+    def test_rejected_by_name(self, command, kind, key, bad, tmp_path, capsys):
+        ar, det = json.loads(json.dumps(AR_SPEC)), dict(PROCESS_SPEC["det"])
+        if kind not in ("ar", "det"):
+            ar["innovation"] = innovation_to_dict(calibrate_innovation(kind, ar["sigma_eps2"]))
+        section = {"ar": ar, "det": det}.get(kind, ar["innovation"])
+        section[key] = [bad] if key in ("phi", "phases") else bad
+        src = tmp_path / "spec.json"
+        src.write_text(json.dumps(ar if command == "eob" else {"ar": ar, "det": det,
+                                                               "length": 100}))
+        argv = ([command, "--spec", str(src)]
+                + (["--T", "10"] if command == "eob" else ["--out", str(tmp_path / "x.csv")]))
+        assert run_cli(*argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f".{key}: expected a real number, got {bad!r}" in captured.err
