@@ -20,6 +20,21 @@ def median_seconds(fn) -> float:
     return statistics.median(times)
 
 
+def median_seconds_by_rounds(fns: dict) -> dict:
+    """Median wall time of each of fns over REPEATS rounds that call every fn once in
+    turn, after one untimed warm-up round: a stall of the host that lasts a moment
+    lands in one round, not in every sample of one fn."""
+    for fn in fns.values():
+        fn()
+    times: dict = {key: [] for key in fns}
+    for _ in range(REPEATS):
+        for key, fn in fns.items():
+            start = time.perf_counter()
+            fn()
+            times[key].append(time.perf_counter() - start)
+    return {key: statistics.median(samples) for key, samples in times.items()}
+
+
 def write_run(path: str, label: str, run: dict, **header) -> None:
     """Store run under runs[label] of the JSON file at path; other labels are kept."""
     try:

@@ -13,9 +13,10 @@ ones through the O(L) filter bank. `dense_forward` and `dense_inverse` time
 that product alone at every L, with the operator built beforehand from
 `dwt_matrix`, so one run shows where the dense product stops paying.
 
-Each figure is the median of five calls, after one untimed warm-up call.
-The run, with its environment block (cores, BLAS thread variables, numpy,
-scipy and BLAS versions), is stored under `runs[<label>]` in
+Every input is built before any call is timed. Each figure is the median
+of five calls, after one untimed warm-up call. The run, with its
+environment block (cores, BLAS thread variables, numpy, scipy and BLAS
+versions), is stored under `runs[<label>]` in
 `BENCH_transforms.json` at the checkout root; other labels in that file are
 kept, so runs of two versions of the package sit side by side.
 """
@@ -48,6 +49,19 @@ def dft_calls(transforms, x) -> dict:
             "dft_inverse": lambda: [transforms.dft_inverse(f) for f in spectra]}
 
 
+def timed_calls(np, transforms, x) -> dict:
+    """Every call timed on the block x, with the inputs it reads built here."""
+    w = transforms.dwt_forward(x, WAVELET, LEVELS)
+    op = np.ascontiguousarray(transforms.dwt_matrix(x.shape[-1], WAVELET, LEVELS).T)
+    return {
+        **dft_calls(transforms, x),
+        "dwt_forward": lambda: transforms.dwt_forward(x, WAVELET, LEVELS),
+        "dwt_inverse": lambda: transforms.dwt_inverse(w),
+        "dense_forward": lambda: x @ op,
+        "dense_inverse": lambda: w.coeffs @ op.T,
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -64,23 +78,16 @@ def main(argv: list[str] | None = None) -> int:
     from eobkit import transforms
 
     rng = np.random.default_rng(0)
+    # every input is built before any timing: a call timed right after its input was
+    # built read up to 3x its later time on a 2-core host
+    timed = {(rows, L): timed_calls(np, transforms, rng.normal(size=L if rows == 1 else (rows, L)))
+             for rows in ROWS for L in LENGTHS}
     median_us: dict[str, dict[str, dict[str, float]]] = {}
-    for rows in ROWS:
-        for L in LENGTHS:
-            x = rng.normal(size=L if rows == 1 else (rows, L))
-            w = transforms.dwt_forward(x, WAVELET, LEVELS)
-            op = np.ascontiguousarray(transforms.dwt_matrix(L, WAVELET, LEVELS).T)
-            timed = {
-                **dft_calls(transforms, x),
-                "dwt_forward": lambda: transforms.dwt_forward(x, WAVELET, LEVELS),
-                "dwt_inverse": lambda: transforms.dwt_inverse(w),
-                "dense_forward": lambda: x @ op,
-                "dense_inverse": lambda: w.coeffs @ op.T,
-            }
-            for name, fn in timed.items():
-                us = 1e6 * median_seconds(fn)
-                median_us.setdefault(name, {}).setdefault(str(rows), {})[str(L)] = us
-                print(f"{name:13s} rows={rows:4d} L={L:5d} {us:10.1f} us", flush=True)
+    for (rows, L), calls in timed.items():
+        for name, fn in calls.items():
+            us = 1e6 * median_seconds(fn)
+            median_us.setdefault(name, {}).setdefault(str(rows), {})[str(L)] = us
+            print(f"{name:13s} rows={rows:4d} L={L:5d} {us:10.1f} us", flush=True)
 
     write_run(OUT, args.label, {"environment": environment(), "median_us": median_us},
               wavelet={"name": WAVELET, "levels": LEVELS}, lengths=list(LENGTHS),
