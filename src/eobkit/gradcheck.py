@@ -55,13 +55,10 @@ def relative_error(analytic: np.ndarray, fd: np.ndarray) -> float:
 # Margin-safe instance constructors
 # ---------------------------------------------------------------------------
 
-_SIGNS = np.array([-1.0, 1.0])
-
-
 def _signed(rng: np.random.Generator, lo: float, hi: float, size: int) -> np.ndarray:
     """Random signs times magnitudes in [lo, hi]; the signs are the stream of
     rng.choice([-1.0, 1.0], size), drawn without choice's overhead."""
-    return _SIGNS[rng.integers(0, 2, size)] * rng.uniform(lo, hi, size=size)
+    return np.array([-1.0, 1.0])[rng.integers(0, 2, size)] * rng.uniform(lo, hi, size=size)
 
 
 def _bins(L: int) -> tuple[np.ndarray, np.ndarray]:
