@@ -11,13 +11,7 @@ REPEATS = 5
 
 def median_seconds(fn) -> float:
     """Median wall time of REPEATS calls of fn, after one untimed warm-up call."""
-    fn()
-    times = []
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-    return statistics.median(times)
+    return median_seconds_by_rounds({0: fn})[0]
 
 
 def median_seconds_by_rounds(fns: dict) -> dict:
