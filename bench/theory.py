@@ -7,7 +7,9 @@ Times, for an AR(1) with phi = 0.9, at T = 16, 128, 512 and 2048:
 
 * `autocorrelations(spec, T-1)`: rho_0..rho_{T-1} alone;
 * `corr_matrix_from_ar(spec, T)`: autocorrelations, Toeplitz build, validation;
-* `eob_mgm(R)` on a matrix built beforehand: the determinant form;
+* `eob_mgm(CorrMatrix(values))` on a Toeplitz array built beforehand: the
+  determinant form, with the validation and the Cholesky that `CorrMatrix`
+  runs when it is built (`eob_mgm` itself only sums the log-diagonal);
 * `eob_ar_closed_form(spec, T)`: the autoregressive closed form;
 * `szego_convergence_curve(spec, [T])`: one point of the Szegő curve.
 
@@ -52,13 +54,13 @@ def main(argv: list[str] | None = None) -> int:
     spec = ARSpec(c=0.0, phi=(PHI,), innovation=Gaussian(0.0, 0.5), sigma_eps2=0.25)
     # every input is built before any timing: a call timed right after its input was
     # built read up to 3x its later time on a 2-core host
-    matrices = {T: theory.corr_matrix_from_ar(spec, T) for T in SWEEP}
+    arrays = {T: theory.corr_matrix_from_ar(spec, T).values for T in SWEEP}
     median_s: dict[str, dict[str, float]] = {}
-    for T, R in matrices.items():
+    for T, values in arrays.items():
         timed = {
             "autocorrelations": lambda: theory.autocorrelations(spec, T - 1),
             "corr_matrix_from_ar": lambda: theory.corr_matrix_from_ar(spec, T),
-            "eob_mgm": lambda: theory.eob_mgm(R),
+            "eob_mgm_with_cholesky": lambda: theory.eob_mgm(theory.CorrMatrix(values)),
             "eob_ar_closed_form": lambda: theory.eob_ar_closed_form(spec, T),
             "szego_convergence_curve": lambda: theory.szego_convergence_curve(spec, [T]),
         }

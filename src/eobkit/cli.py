@@ -17,7 +17,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, astuple, fields, replace
 
 import numpy as np
 
@@ -211,8 +211,7 @@ def _parse_experiment_config(obj: dict, seed_override: int | None):
     grid = from_dict(experiments.GridSpec, obj["grid"], "grid config")
     if seed_override is not None:
         grid = replace(grid, seed=seed_override)
-    model = from_dict(experiments.ModelSpec, obj.get("model", {}), "model config",
-                      input_len=grid.history, output_len=grid.horizons[0])
+    model = from_dict(experiments.ModelSpec, obj.get("model", {}), "model config")
     loss = from_dict(experiments.LossSpec, obj.get("loss", {}), "loss config")
     cfg = from_dict(experiments.TrainConfig, obj.get("train", {}), "train config", loss=loss)
     return grid, model, cfg
@@ -221,32 +220,27 @@ def _parse_experiment_config(obj: dict, seed_override: int | None):
 def _cmd_simulate(args: argparse.Namespace) -> int:
     grid, model, cfg = _parse_experiment_config(_load_json(args.grid), args.seed)
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
-    log.info("running %d grid cells with %d worker(s)",
-             len(grid.ssnr_x_values) * len(grid.horizons) * grid.replications, jobs)
     result = experiments.run_grid(grid, model, cfg, jobs=jobs)
+    log.info("ran %d grid cells with %d worker(s)",
+             len(result.records) + len(result.failures), jobs)
     for label, error in result.failures:
         log.error("cell %s failed: %s", label, error)
 
-    rows = [["ssnr_x", "horizon", "replication", "mse_actual", "mse_relative",
-             "mse_opt_rel", "inefficiency"]]
-    for pt in result.points:
-        rows.append([_fmt(pt.ssnr_x), str(pt.horizon), str(pt.replication),
-                     _fmt(pt.mse_actual), _fmt(pt.mse_relative),
-                     _fmt(pt.mse_opt_rel), _fmt(pt.inefficiency)])
+    rows = [[f.name for f in fields(diagnostics.SurfacePoint)]]
+    rows += [[_fmt(v) if isinstance(v, float) else str(v) for v in astuple(pt)]
+             for pt in result.points]
     _write_csv(rows, args.out)
 
     if args.out is not None:
-        meta = {
-            "grid": {"ssnr_x_values": list(grid.ssnr_x_values),
-                     "horizons": list(grid.horizons), "history": grid.history,
-                     "series_length": grid.series_length,
-                     "replications": grid.replications, "seed": grid.seed},
-            "amplitudes": {f"{pt.ssnr_x:g}/{pt.horizon}/{pt.replication}": pt.amplitude
-                           for pt in result.points},
-            "failures": [{"cell": c, "error": e} for c, e in result.failures],
-        }
-        _write_json(meta, args.out + ".meta.json")
-    if result.failures and not result.points:
+        # the parsed specs as a config document: `simulate --grid` reads it back to them
+        config = {"schema_version": SCHEMA_VERSION, "grid": asdict(grid),
+                  "model": asdict(model), "train": asdict(cfg)}
+        config["loss"] = config["train"].pop("loss")
+        _write_json({"config": config,
+                     "cells": [asdict(record) for record in result.records],
+                     "failures": [{"cell": c, "error": e} for c, e in result.failures]},
+                    args.out + ".meta.json")
+    if result.failures and not result.records:
         return 2
     return 0
 

@@ -62,7 +62,7 @@ class OrthoReport:
 
 @dataclass(frozen=True)
 class SurfacePoint:
-    """One cell of an error surface grid."""
+    """One cell of an error surface grid; its fields are the `simulate` CSV columns."""
 
     ssnr_x: float
     horizon: int
@@ -71,7 +71,6 @@ class SurfacePoint:
     mse_relative: float
     mse_opt_rel: float
     inefficiency: float
-    amplitude: float = 0.0
 
     def __post_init__(self):
         if min(self.mse_actual, self.mse_relative, self.mse_opt_rel, self.inefficiency) < 0.0:

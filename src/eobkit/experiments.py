@@ -18,18 +18,19 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import losses, transforms
-from .diagnostics import SurfacePoint, _rank_correlation, sliding_windows
+from .diagnostics import (SurfacePoint, _rank_correlation, inefficiency_ratio,
+                          optimal_mse_baseline, sliding_windows)
 from .gradcheck import central_difference, relative_error
 from .processes import (ARSpec, DeterministicSpec, HybridSpec, _cast, _float, _int, make_rng,
                         synthesize_deterministic, synthesize_hybrid)
-from .theory import solve_yule_walker
 
 __all__ = [
+    "CellRecord",
     "GradientCheckError",
     "GridResult",
     "GridSpec",
@@ -65,21 +66,19 @@ class GradientCheckError(RuntimeError):
 
 @dataclass(frozen=True)
 class ModelSpec:
-    kind: str = field(default="linear", kw_only=True)  # "linear" | "mlp1"
-    input_len: int
-    output_len: int
+    kind: str = "linear"  # "linear" | "mlp1"
     hidden: int = 64
     activation: str = "tanh"
     init_seed: int = 0
 
     def __post_init__(self):
-        _cast(self, input_len=_int, output_len=_int, hidden=_int, init_seed=_int)
+        _cast(self, hidden=_int, init_seed=_int)
         if self.kind not in ("linear", "mlp1"):
             raise ValueError(f"kind must be 'linear' or 'mlp1', got {self.kind!r}")
         if self.activation not in ("tanh", "relu"):
             raise ValueError(f"activation must be 'tanh' or 'relu', got {self.activation!r}")
-        if min(self.input_len, self.output_len, self.hidden) < 1:
-            raise ValueError("model dimensions must all be >= 1")
+        if self.hidden < 1:
+            raise ValueError(f"hidden must be >= 1, got {self.hidden}")
 
 
 @dataclass(frozen=True)
@@ -160,9 +159,9 @@ class GridSpec:
 class _Model:
     """Parameter dict + forward/backward; subclasses define the wiring."""
 
-    def __init__(self, spec: ModelSpec):
+    def __init__(self, spec: ModelSpec, input_len: int, output_len: int):
         self.spec = spec
-        self.params = self._init_params(make_rng(spec.init_seed))
+        self.params = self._init_params(make_rng(spec.init_seed), input_len, output_len)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self._forward(np.asarray(X, dtype=float))[0]
@@ -175,10 +174,9 @@ class _Model:
 
 
 class LinearModel(_Model):
-    def _init_params(self, rng: np.random.Generator) -> dict[str, np.ndarray]:
-        scale = 1.0 / math.sqrt(self.spec.input_len)
-        return {"W": rng.normal(0.0, scale, size=(self.spec.output_len, self.spec.input_len)),
-                "b": np.zeros(self.spec.output_len)}
+    def _init_params(self, rng: np.random.Generator, n_in: int, n_out: int) -> dict:
+        return {"W": rng.normal(0.0, 1.0 / math.sqrt(n_in), size=(n_out, n_in)),
+                "b": np.zeros(n_out)}
 
     def _forward(self, X: np.ndarray):
         return X @ self.params["W"].T + self.params["b"], {"X": X}
@@ -188,13 +186,12 @@ class LinearModel(_Model):
 
 
 class Mlp1Model(_Model):
-    def _init_params(self, rng: np.random.Generator) -> dict[str, np.ndarray]:
-        s1 = 1.0 / math.sqrt(self.spec.input_len)
-        s2 = 1.0 / math.sqrt(self.spec.hidden)
-        return {"W1": rng.normal(0.0, s1, size=(self.spec.hidden, self.spec.input_len)),
-                "b1": np.zeros(self.spec.hidden),
-                "W2": rng.normal(0.0, s2, size=(self.spec.output_len, self.spec.hidden)),
-                "b2": np.zeros(self.spec.output_len)}
+    def _init_params(self, rng: np.random.Generator, n_in: int, n_out: int) -> dict:
+        hidden = self.spec.hidden
+        return {"W1": rng.normal(0.0, 1.0 / math.sqrt(n_in), size=(hidden, n_in)),
+                "b1": np.zeros(hidden),
+                "W2": rng.normal(0.0, 1.0 / math.sqrt(hidden), size=(n_out, hidden)),
+                "b2": np.zeros(n_out)}
 
     def _forward(self, X: np.ndarray):
         z1 = X @ self.params["W1"].T + self.params["b1"]
@@ -211,8 +208,8 @@ class Mlp1Model(_Model):
                 "W1": dz1.T @ cache["X"], "b1": dz1.sum(axis=0)}
 
 
-def _build_model(spec: ModelSpec) -> _Model:
-    return LinearModel(spec) if spec.kind == "linear" else Mlp1Model(spec)
+def _build_model(spec: ModelSpec, input_len: int, output_len: int) -> _Model:
+    return (LinearModel if spec.kind == "linear" else Mlp1Model)(spec, input_len, output_len)
 
 
 class _Adam:
@@ -334,9 +331,10 @@ def train_model(spec: ModelSpec, X: np.ndarray, Y: np.ndarray, cfg: TrainConfig,
                 seed: int | np.random.SeedSequence | None = None) -> TrainResult:
     """Mini-batch training with early stopping on a held-out validation tail.
 
-    The last 20% of the supplied windows serve as the validation set; the
-    best-validation parameters are restored at the end. Deterministic for
-    fixed seeds. A non-finite training loss aborts with a diagnostic.
+    The model maps the columns of X to those of Y. The last 20% of the windows
+    serve as the validation set; the best-validation parameters are restored
+    at the end. Deterministic for fixed seeds. A non-finite training loss
+    aborts with a diagnostic.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -344,21 +342,19 @@ def train_model(spec: ModelSpec, X: np.ndarray, Y: np.ndarray, cfg: TrainConfig,
         raise ValueError(f"X and Y must be matrices with equal row counts, "
                          f"got {X.shape} and {Y.shape}")
     for name, a in (("X", X), ("Y", Y)):
+        if a.shape[1] == 0:
+            raise ValueError(f"{name} must have at least one column")
         if not np.all(np.isfinite(a)):
             raise ValueError(f"{name} must be finite (found nan or inf)")
     if X.shape[0] < 2:
         raise ValueError("need at least 2 window pairs to train")
-    if X.shape[1] != spec.input_len or Y.shape[1] != spec.output_len:
-        raise ValueError(
-            f"window dims ({X.shape[1]}, {Y.shape[1]}) do not match model "
-            f"dims ({spec.input_len}, {spec.output_len})")
 
     n_val = max(1, int(round(0.2 * X.shape[0])))
     X_tr, Y_tr = X[:-n_val], Y[:-n_val]
     X_val, Y_val = X[-n_val:], Y[-n_val:]
 
-    model = _build_model(spec)
-    loss = _TrainingLoss(cfg.loss, spec.output_len)
+    model = _build_model(spec, X.shape[1], Y.shape[1])
+    loss = _TrainingLoss(cfg.loss, Y.shape[1])
     check_err = _grad_check_at_init(model, X_tr, Y_tr) if cfg.check_gradients else None
     opt = (_Adam(model.params, cfg.lr) if cfg.optimizer == "adam"
            else _Sgd(model.params, cfg.lr))
@@ -415,9 +411,23 @@ def evaluate_mse(model: _Model, X: np.ndarray, Y: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class CellRecord:
+    """One grid cell: its CSV row, its tone amplitude and its training telemetry."""
+
+    point: SurfacePoint
+    amplitude: float
+    epochs_run: int
+    best_epoch: int
+
+
+@dataclass(frozen=True)
 class GridResult:
-    points: list[SurfacePoint]
+    records: list[CellRecord]
     failures: list[tuple[str, str]]
+
+    @property
+    def points(self) -> list[SurfacePoint]:
+        return [record.point for record in self.records]
 
 
 def _cell_spec(grid: GridSpec, ssnr_x: float, rng: np.random.Generator) -> HybridSpec:
@@ -435,7 +445,7 @@ def _cell_spec(grid: GridSpec, ssnr_x: float, rng: np.random.Generator) -> Hybri
     return HybridSpec(ar=ar, det=det, length=grid.series_length)
 
 
-def _run_cell(args: tuple) -> SurfacePoint:
+def _run_cell(args: tuple) -> CellRecord:
     grid, model, cfg, ssnr_x, horizon, rep = args
     # One replication = one stochastic path and one tone layout, shared by
     # every SSNR_x level; only the deterministic amplitude moves along the
@@ -450,21 +460,20 @@ def _run_cell(args: tuple) -> SurfacePoint:
     X_tr, Y_tr = make_window_pairs(train_series, grid.history, horizon)
     X_te, Y_te = make_window_pairs(test_series, grid.history, horizon)
 
-    cell_model = replace(model, input_len=grid.history, output_len=horizon)
-    result = train_model(cell_model, X_tr, Y_tr, cfg, seed=train_seed)
+    result = train_model(model, X_tr, Y_tr, cfg, seed=train_seed)
     mse_actual = evaluate_mse(result.model, X_te, Y_te)
 
-    sigma_z2 = solve_yule_walker(spec.ar).sigma_z2
-    det_var = spec.det.variance if spec.det is not None else 0.0
-    sigma_x2 = sigma_z2 + det_var
+    sigma_z2 = optimal_mse_baseline(spec.ar, horizon, "asymptotic")
+    sigma_x2 = sigma_z2 + (spec.det.variance if spec.det is not None else 0.0)
     mse_relative = mse_actual / sigma_x2
     mse_opt_rel = sigma_z2 / sigma_x2  # asymptotic optimum: SSNR_z / SSNR_x
-    amplitude = spec.det.base_amplitude if spec.det is not None else 0.0
-    return SurfacePoint(ssnr_x=ssnr_x, horizon=horizon, replication=rep,
-                        mse_actual=mse_actual, mse_relative=mse_relative,
-                        mse_opt_rel=mse_opt_rel,
-                        inefficiency=mse_relative / mse_opt_rel,
-                        amplitude=amplitude)
+    point = SurfacePoint(ssnr_x=ssnr_x, horizon=horizon, replication=rep,
+                         mse_actual=mse_actual, mse_relative=mse_relative,
+                         mse_opt_rel=mse_opt_rel,
+                         inefficiency=inefficiency_ratio(mse_relative, mse_opt_rel))
+    return CellRecord(point=point,
+                      amplitude=spec.det.base_amplitude if spec.det is not None else 0.0,
+                      epochs_run=result.epochs_run, best_epoch=result.best_epoch)
 
 
 def run_grid(grid: GridSpec, model: ModelSpec, cfg: TrainConfig,
@@ -484,17 +493,17 @@ def run_grid(grid: GridSpec, model: ModelSpec, cfg: TrainConfig,
     tasks = [(grid, model, cfg, ssnr_x, horizon, rep) for ssnr_x in grid.ssnr_x_values
              for horizon in grid.horizons for rep in range(grid.replications)]
 
-    points: list[SurfacePoint] = []
+    records: list[CellRecord] = []
     failures: list[tuple[str, str]] = []
     with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
         outcomes = (pool.map if pool else map)(_run_cell_safe, tasks)
-        for task, (point, error) in zip(tasks, outcomes):
-            if point is not None:
-                points.append(point)
+        for task, (record, error) in zip(tasks, outcomes):
+            if record is not None:
+                records.append(record)
             else:
                 failures.append((f"ssnr_x={task[3]:g},h={task[4]},rep={task[5]}", error))
-    points.sort(key=lambda pt: (pt.ssnr_x, pt.horizon, pt.replication))
-    return GridResult(points=points, failures=failures)
+    records.sort(key=lambda r: (r.point.ssnr_x, r.point.horizon, r.point.replication))
+    return GridResult(records=records, failures=failures)
 
 
 def _run_cell_safe(args: tuple):
@@ -597,8 +606,7 @@ def insight_experiment(K: int = 3, fmax: int = 15, n: int = 3072,
     if fmax >= horizon // 2:
         raise ValueError(f"fmax={fmax} must stay below horizon/2={horizon // 2}")
     if model is None:
-        model = ModelSpec(kind="mlp1", input_len=history, output_len=horizon,
-                          hidden=64, activation="tanh", init_seed=seed)
+        model = ModelSpec(kind="mlp1", hidden=64, activation="tanh", init_seed=seed)
     if cfg_temporal is None:
         cfg_temporal = TrainConfig(loss=LossSpec(kind="temporal", norm="l2"))
     if cfg_harmonized is None:
@@ -617,7 +625,6 @@ def insight_experiment(K: int = 3, fmax: int = 15, n: int = 3072,
     X_te, Y_te = make_window_pairs(test_series, history, horizon)
 
     tone_bins = tuple(sorted({k for f in freqs for k in (f, horizon - f)}))
-    model = replace(model, input_len=history, output_len=horizon)
 
     leakage: dict[str, float] = {}
     amp_err: dict[str, float] = {}

@@ -176,7 +176,7 @@ def test_criterion_08_transform_correctness():
 
 GRID = GridSpec(ssnr_x_values=(32.0, 104.0, 176.0, 248.0, 320.0), horizons=(64,),
                 replications=3, seed=0)
-MODEL = ModelSpec(kind="linear", input_len=64, output_len=64)
+MODEL = ModelSpec(kind="linear")
 
 
 def desk_cfg(loss: LossSpec) -> TrainConfig:

@@ -350,7 +350,36 @@ class TestSimulate:
         assert lines[0] == self.HEADER
         assert len(lines) == 3  # 2 levels x 1 horizon x 1 rep
         meta = json.loads((tmp_path / "surface.csv.meta.json").read_text())
+        assert set(meta) == {"config", "cells", "failures"}
         assert meta["failures"] == []
+        assert meta["config"]["loss"] == {**meta["config"]["loss"], **GRID_CONFIG["loss"]}
+        assert "loss" not in meta["config"]["train"]
+        header = self.HEADER.split(",")
+        for line, cell in zip(lines[1:], meta["cells"]):
+            assert set(cell) == {"point", "amplitude", "epochs_run", "best_epoch"}
+            assert list(cell["point"]) == header
+            assert [float(v) for v in line.split(",")] == list(cell["point"].values())
+            assert 1 <= cell["best_epoch"] <= cell["epochs_run"] <= 4
+        assert meta["cells"][0]["amplitude"] == 0.0 < meta["cells"][1]["amplitude"]
+
+    @pytest.mark.parametrize("loss", [
+        {"kind": "temporal", "norm": "l2"},
+        {"kind": "harmonized", "norm": "l2", "transform": "dwt", "wavelet": "db2", "levels": 2},
+    ], ids=["temporal", "harmonized-dwt"])
+    def test_sidecar_config_reproduces_the_csv(self, loss, tmp_path):
+        src = tmp_path / "grid.json"
+        src.write_text(json.dumps({**GRID_CONFIG, "loss": loss}))
+        first, replay = tmp_path / "first.csv", tmp_path / "replay.csv"
+        assert run_cli("simulate", "--grid", str(src), "--out", str(first), "--jobs", "1",
+                       "--seed", "3") == 0
+        config = json.loads((tmp_path / "first.csv.meta.json").read_text())["config"]
+        assert config["grid"]["seed"] == 3
+        assert _parse_experiment_config(config, None) == _parse_experiment_config(
+            {**GRID_CONFIG, "loss": loss}, 3)
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        assert run_cli("simulate", "--grid", str(tmp_path / "config.json"), "--out",
+                       str(replay), "--jobs", "1") == 0
+        assert replay.read_bytes() == first.read_bytes()
 
     def test_deterministic_given_seed(self, grid_config_file, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -399,16 +428,16 @@ class TestSchema:
         grid, model, cfg = _parse_experiment_config(GRID_CONFIG, None)
         assert grid == GridSpec(ssnr_x_values=(32.0, 96.0), horizons=(16,), history=16,
                                 series_length=700, replications=1, seed=0, det_period=32)
-        assert model == ModelSpec(kind="linear", input_len=16, output_len=16)
+        assert model == ModelSpec(kind="linear")
         assert (cfg.lr, cfg.max_epochs, cfg.check_gradients, cfg.loss.kind) == (
             1e-3, 4, False, "temporal")
 
     def test_model_without_kind_is_linear(self):
         doc = {**GRID_CONFIG, "model": {"hidden": 8}}
         _, model, _ = _parse_experiment_config(doc, None)
-        assert model == ModelSpec(kind="linear", input_len=16, output_len=16, hidden=8)
+        assert model == ModelSpec(kind="linear", hidden=8)
         del doc["model"]
-        assert _parse_experiment_config(doc, None)[1] == ModelSpec(input_len=16, output_len=16)
+        assert _parse_experiment_config(doc, None)[1] == ModelSpec()
 
     def test_seed_flag_overrides_the_grid_seed(self):
         grid, _, _ = _parse_experiment_config(GRID_CONFIG, 7)

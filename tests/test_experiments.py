@@ -37,7 +37,7 @@ class TestTrainModel:
     def test_linear_reaches_bayes_on_ar1_one_step(self):
         series = simulate_ar(ar1(), 20_000, seed=31)
         X, Y = make_window_pairs(series, history=8, horizon=1)
-        spec = ModelSpec(kind="linear", input_len=8, output_len=1)
+        spec = ModelSpec(kind="linear")
         cfg = TrainConfig(loss=LossSpec(kind="temporal", norm="l2"), max_epochs=40,
                           patience=10)
         result = train_model(spec, X, Y, cfg, seed=1)
@@ -47,18 +47,17 @@ class TestTrainModel:
 
     def test_zero_learning_rate_keeps_parameters(self, rng):
         X, Y = rng.normal(size=(64, 4)), rng.normal(size=(64, 2))
-        spec = ModelSpec(kind="linear", input_len=4, output_len=2, init_seed=5)
+        spec = ModelSpec(kind="linear", init_seed=5)
         cfg = TrainConfig(lr=0.0, max_epochs=3, patience=10, check_gradients=False)
         from eobkit.experiments import _build_model
-        init = _build_model(spec).params
+        init = _build_model(spec, 4, 2).params
         result = train_model(spec, X, Y, cfg, seed=2)
         for key in init:
             np.testing.assert_array_equal(result.model.params[key], init[key])
 
     def test_mlp_gradient_check_at_init(self, rng):
         X, Y = rng.normal(size=(64, 6)), rng.normal(size=(64, 3))
-        spec = ModelSpec(kind="mlp1", input_len=6, output_len=3, hidden=8,
-                         activation="tanh")
+        spec = ModelSpec(kind="mlp1", hidden=8, activation="tanh")
         cfg = TrainConfig(max_epochs=1, check_gradients=True)
         result = train_model(spec, X, Y, cfg, seed=3)
         assert result.grad_check_err is not None
@@ -66,8 +65,7 @@ class TestTrainModel:
 
     def test_relu_gradient_check(self, rng):
         X, Y = rng.normal(size=(64, 6)), rng.normal(size=(64, 3))
-        spec = ModelSpec(kind="mlp1", input_len=6, output_len=3, hidden=8,
-                         activation="relu")
+        spec = ModelSpec(kind="mlp1", hidden=8, activation="relu")
         result = train_model(spec, X, Y, TrainConfig(max_epochs=1), seed=3)
         assert result.grad_check_err < 1e-4
 
@@ -80,7 +78,7 @@ class TestTrainModel:
             return {**grads, "W": 1.01 * grads["W"]}
 
         monkeypatch.setattr(LinearModel, "_backward", off_by_one_percent)
-        spec = ModelSpec(kind="linear", input_len=6, output_len=3)
+        spec = ModelSpec(kind="linear")
         with pytest.raises(GradientCheckError, match="max rel err"):
             train_model(spec, X, Y, TrainConfig(max_epochs=1), seed=3)
 
@@ -91,7 +89,7 @@ class TestTrainModel:
         monkeypatch.setattr(transforms, "_dwt_synthesis",
                             lambda c, *args: calls.append(c.shape) or synthesis(c, *args))
         X, Y = rng.normal(size=(64, 8)), rng.normal(size=(64, 8))
-        spec = ModelSpec(kind="linear", input_len=8, output_len=8)
+        spec = ModelSpec(kind="linear")
         loss = LossSpec(kind="harmonized", norm="l2", transform="dwt", wavelet="db2")
         cfg = TrainConfig(max_epochs=3, patience=5, loss=loss, check_gradients=False)
         result = train_model(spec, X, Y, cfg, seed=1)
@@ -101,30 +99,30 @@ class TestTrainModel:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
     def test_divergence_aborts_with_diagnostic(self, rng):
         X, Y = rng.normal(size=(64, 4)) * 1e3, rng.normal(size=(64, 2)) * 1e3
-        spec = ModelSpec(kind="mlp1", input_len=4, output_len=2, hidden=4,
-                         activation="relu")
+        spec = ModelSpec(kind="mlp1", hidden=4, activation="relu")
         cfg = TrainConfig(optimizer="sgd", lr=1e6, max_epochs=80, patience=80,
                           check_gradients=False)
         with pytest.raises(TrainingDivergedError, match="epoch"):
             train_model(spec, X, Y, cfg, seed=4)
 
-    def test_dimension_validation(self, rng):
-        X, Y = rng.normal(size=(32, 4)), rng.normal(size=(32, 2))
-        spec = ModelSpec(kind="linear", input_len=5, output_len=2)
-        with pytest.raises(ValueError, match="dims"):
-            train_model(spec, X, Y, TrainConfig(), seed=0)
+    @pytest.mark.parametrize("name", ["X", "Y"])
+    def test_zero_columns_names_the_array(self, name, rng):
+        data = {"X": rng.normal(size=(32, 4)), "Y": rng.normal(size=(32, 2))}
+        data[name] = data[name][:, :0]
+        with pytest.raises(ValueError, match=rf"^{name} must have at least one column"):
+            train_model(ModelSpec(), data["X"], data["Y"], TrainConfig(), seed=0)
 
     @pytest.mark.parametrize("name,bad", [("X", math.nan), ("Y", math.inf), ("Y", -math.inf)])
     def test_non_finite_input_names_the_array(self, name, bad, rng):
         data = {"X": rng.normal(size=(32, 4)), "Y": rng.normal(size=(32, 2))}
         data[name][5, 1] = bad
-        spec = ModelSpec(kind="linear", input_len=4, output_len=2)
+        spec = ModelSpec(kind="linear")
         with pytest.raises(ValueError, match=rf"^{name} must be finite"):
             train_model(spec, data["X"], data["Y"], TrainConfig(), seed=0)
 
     def test_deterministic_given_seeds(self, rng):
         X, Y = rng.normal(size=(128, 4)), rng.normal(size=(128, 2))
-        spec = ModelSpec(kind="linear", input_len=4, output_len=2)
+        spec = ModelSpec(kind="linear")
         cfg = TrainConfig(max_epochs=5, check_gradients=False)
         a = train_model(spec, X, Y, cfg, seed=9)
         b = train_model(spec, X, Y, cfg, seed=9)
@@ -149,7 +147,7 @@ def tiny_cfg(**kwargs) -> TrainConfig:
 class TestRunGrid:
     def test_single_cell(self):
         grid = tiny_grid(ssnr_x_values=(32.0,))
-        model = ModelSpec(kind="linear", input_len=16, output_len=16)
+        model = ModelSpec(kind="linear")
         result = run_grid(grid, model, tiny_cfg())
         assert len(result.points) == 1 and not result.failures
         pt = result.points[0]
@@ -157,7 +155,7 @@ class TestRunGrid:
 
     def test_actual_equals_sigma_x2_times_relative(self):
         grid = tiny_grid()
-        model = ModelSpec(kind="linear", input_len=16, output_len=16)
+        model = ModelSpec(kind="linear")
         result = run_grid(grid, model, tiny_cfg())
         for pt in result.points:
             sigma_x2 = pt.mse_actual / pt.mse_relative
@@ -168,46 +166,48 @@ class TestRunGrid:
 
     def test_opt_rel_ratio(self):
         grid = tiny_grid(ssnr_x_values=(320.0,), ssnr_z=32.0)
-        model = ModelSpec(kind="linear", input_len=16, output_len=16)
+        model = ModelSpec(kind="linear")
         result = run_grid(grid, model, tiny_cfg())
         assert result.points[0].mse_opt_rel == pytest.approx(0.1, rel=1e-9)
 
     def test_reproducible_bit_for_bit(self):
         grid = tiny_grid()
-        model = ModelSpec(kind="linear", input_len=16, output_len=16)
+        model = ModelSpec(kind="linear")
         a = run_grid(grid, model, tiny_cfg())
         b = run_grid(grid, model, tiny_cfg())
         assert a.points == b.points
 
     def test_parallel_matches_serial(self):
         grid = tiny_grid()
-        model = ModelSpec(kind="linear", input_len=16, output_len=16)
+        model = ModelSpec(kind="linear")
         serial = run_grid(grid, model, tiny_cfg(), jobs=1)
         parallel = run_grid(grid, model, tiny_cfg(), jobs=2)
+        assert serial.records == parallel.records
         assert serial.points == parallel.points
 
     def test_parallel_matches_serial_on_dwt_loss(self):
         grid = tiny_grid()
-        model = ModelSpec(kind="linear", input_len=16, output_len=16)
+        model = ModelSpec(kind="linear")
         loss = LossSpec(kind="harmonized", norm="l2", transform="dwt", wavelet="db2",
                         levels=2)
         serial = run_grid(grid, model, tiny_cfg(loss=loss), jobs=1)
         parallel = run_grid(grid, model, tiny_cfg(loss=loss), jobs=2)
-        assert serial.points and not serial.failures
+        assert serial.records and not serial.failures
+        assert serial.records == parallel.records
         assert serial.points == parallel.points
 
     @pytest.mark.parametrize("horizon,levels", [(16, 5), (24, 4), (64, 7)])
     def test_dwt_levels_must_divide_every_horizon(self, horizon, levels, monkeypatch):
         monkeypatch.setattr(experiments, "_run_cell_safe", lambda task: pytest.fail("cell ran"))
         grid = tiny_grid(horizons=(128, horizon))
-        model = ModelSpec(kind="linear", input_len=16, output_len=16)
+        model = ModelSpec(kind="linear")
         loss = LossSpec(kind="harmonized", norm="l2", transform="dwt", levels=levels)
         with pytest.raises(ValueError, match=rf"levels={levels} .* horizon {horizon}"):
             run_grid(grid, model, tiny_cfg(loss=loss))
 
     def test_dwt_levels_do_not_constrain_a_temporal_loss(self):
         grid = tiny_grid(ssnr_x_values=(32.0,))
-        model = ModelSpec(kind="linear", input_len=16, output_len=16)
+        model = ModelSpec(kind="linear")
         loss = LossSpec(kind="temporal", transform="dwt", levels=7)
         assert run_grid(grid, model, tiny_cfg(loss=loss)).points
 
@@ -215,7 +215,7 @@ class TestRunGrid:
         # a trained model cannot reliably beat the exact cumulative optimum
         grid = tiny_grid(ssnr_x_values=(32.0,), series_length=3000, history=32,
                          horizons=(32,))
-        model = ModelSpec(kind="linear", input_len=32, output_len=32)
+        model = ModelSpec(kind="linear")
         result = run_grid(grid, model, tiny_cfg(max_epochs=60))
         pt = result.points[0]
         true_opt = optimal_mse_baseline(ARSpec.ar1_for_ssnr(32.0), 32, "psi_weights")
@@ -225,10 +225,31 @@ class TestRunGrid:
         # The per-coordinate check this replaced read 3.2e-4 > 1e-4 on this
         # desk cell and run_grid dropped it; the shared oracle reads ~1e-8.
         grid = GridSpec(ssnr_x_values=(248.0,), horizons=(64,), replications=1, seed=77)
-        model = ModelSpec(kind="linear", input_len=64, output_len=64)
+        model = ModelSpec(kind="linear")
         result = run_grid(grid, model, tiny_cfg(max_epochs=1, check_gradients=True))
         assert not result.failures, result.failures
         assert len(result.points) == 1
+
+    def test_record_carries_the_training_telemetry(self):
+        # patience below the budget: the cells stop early, at epochs of their own
+        grid = tiny_grid(ssnr_x_values=(32.0, 64.0, 96.0), replications=2)
+        cfg = tiny_cfg(lr=3e-2, max_epochs=40, patience=2)
+        model = ModelSpec()
+        records = run_grid(grid, model, cfg).records
+        assert len(records) == 6
+        assert any(r.epochs_run < cfg.max_epochs for r in records)
+        for record in records:
+            pt = record.point
+            seed_seq = np.random.SeedSequence(grid.seed, spawn_key=(pt.replication,))
+            spec_seed, data_seed, train_seed = seed_seq.spawn(3)
+            spec = experiments._cell_spec(grid, pt.ssnr_x, experiments.make_rng(spec_seed))
+            series = experiments.synthesize_hybrid(spec, seed=data_seed)
+            train_series, _ = chronological_split(series, cfg.split)
+            X, Y = make_window_pairs(train_series, grid.history, pt.horizon)
+            direct = train_model(model, X, Y, cfg, seed=train_seed)
+            assert (record.epochs_run, record.best_epoch) == (direct.epochs_run,
+                                                              direct.best_epoch)
+            assert record.amplitude == (spec.det.base_amplitude if spec.det else 0.0)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="floor"):
@@ -335,7 +356,7 @@ class TestIntegerFields:
         "GridSpec.history": lambda v: GridSpec(history=v),
         "GridSpec.horizons": lambda v: GridSpec(horizons=(v,)),
         "GridSpec.seed": lambda v: GridSpec(seed=v),
-        "ModelSpec.input_len": lambda v: ModelSpec(input_len=v, output_len=4),
+        "ModelSpec.hidden": lambda v: ModelSpec(hidden=v),
         "TrainConfig.max_epochs": lambda v: TrainConfig(max_epochs=v),
         "LossSpec.levels": lambda v: LossSpec(levels=v),
         "HarmonizedConfig.levels": lambda v: HarmonizedConfig(levels=v),
