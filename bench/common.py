@@ -1,12 +1,17 @@
-"""Timing and output shared by the layer benchmarks in this directory."""
+"""Timing, command line and output shared by the layer benchmarks in this directory."""
 
 from __future__ import annotations
 
+import argparse
 import json
+import os
 import statistics
+import sys
 import time
 
 REPEATS = 5
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
 
 
 def median_seconds(fn) -> float:
@@ -42,3 +47,24 @@ def write_run(path: str, label: str, run: dict, **header) -> None:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
     print(f"wrote runs[{label!r}] to {path}")
+
+
+def main(topic: str, doc: str, measure, argv: list[str] | None = None) -> int:
+    """Command line of a layer benchmark: import the package under test from --src, call
+    measure(), which returns (run, header), and store the run with its environment block
+    under runs[--label] of BENCH_<topic>.json at the checkout root, with header as the
+    file's other keys."""
+    parser = argparse.ArgumentParser(description=doc,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--src", default=os.path.join(ROOT, "src"),
+                        help="directory holding the eobkit package to time")
+    parser.add_argument("--label", default="head", help="key of this run in the output file")
+    args = parser.parse_args(argv)
+
+    sys.path[:0] = [os.path.abspath(args.src), PERFBENCH]
+    from worker import environment
+
+    run, header = measure()
+    write_run(os.path.join(ROOT, f"BENCH_{topic}.json"), args.label,
+              {"environment": environment(), **run}, **header)
+    return 0

@@ -21,15 +21,9 @@ are kept, so runs of two versions of the package sit side by side.
 
 from __future__ import annotations
 
-import argparse
-import os
-import sys
+import common
+from common import REPEATS, median_seconds
 
-from common import REPEATS, median_seconds, write_run
-
-HERE = os.path.dirname(os.path.abspath(__file__))
-ROOT = os.path.dirname(HERE)
-OUT = os.path.join(ROOT, "BENCH_diagnostics.json")
 SAMPLES = (1024, 4065, 16384)
 WINDOW = 32
 ROW_LENGTHS = (32, 64)
@@ -38,19 +32,7 @@ PHI = 0.9
 WAVELET, LEVELS = "db2", 2
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--src", default=os.path.join(ROOT, "src"),
-                        help="directory holding the eobkit package to time")
-    parser.add_argument("--label", default="head", help="key of this run in the output file")
-    args = parser.parse_args(argv)
-
-    sys.path.insert(0, os.path.abspath(args.src))
-    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
-    import numpy as np
-    from worker import environment
-
+def measure() -> tuple[dict, dict]:
     from eobkit import diagnostics, transforms
     from eobkit.processes import ARSpec, Gaussian, simulate_ar
 
@@ -88,15 +70,13 @@ def main(argv: list[str] | None = None) -> int:
         row_us[str(L)] = 1e6 * loop / ROW_CALLS
         print(f"dwt_forward 1-d L={L:3d} {row_us[str(L)]:.2f} us per call", flush=True)
 
-    write_run(OUT, args.label, {"environment": environment(), "median_s": median_s,
-                                "dwt_forward_1d_us_per_call": row_us},
-              spec={"phi": [PHI], "sigma_eps2": 0.25}, window=WINDOW, samples=list(SAMPLES),
-              wavelet={"name": WAVELET, "levels": LEVELS}, row_lengths=list(ROW_LENGTHS),
-              statistic=f"median of {REPEATS} calls after one warm-up, seconds; the 1-d "
-                        f"dwt_forward: median of {REPEATS} loops of {ROW_CALLS} calls, "
-                        "microseconds per call")
-    return 0
+    return {"median_s": median_s, "dwt_forward_1d_us_per_call": row_us}, dict(
+        spec={"phi": [PHI], "sigma_eps2": 0.25}, window=WINDOW, samples=list(SAMPLES),
+        wavelet={"name": WAVELET, "levels": LEVELS}, row_lengths=list(ROW_LENGTHS),
+        statistic=f"median of {REPEATS} calls after one warm-up, seconds; the 1-d "
+                  f"dwt_forward: median of {REPEATS} loops of {ROW_CALLS} calls, "
+                  "microseconds per call")
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(common.main("diagnostics", __doc__, measure))

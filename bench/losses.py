@@ -31,15 +31,9 @@ of the package sit side by side.
 
 from __future__ import annotations
 
-import argparse
-import os
-import sys
+import common
+from common import REPEATS, median_seconds_by_rounds
 
-from common import REPEATS, median_seconds_by_rounds, write_run
-
-HERE = os.path.dirname(os.path.abspath(__file__))
-ROOT = os.path.dirname(HERE)
-OUT = os.path.join(ROOT, "BENCH_losses.json")
 # name: (rows, L, calls per timed loop); rows = 1 is a 1-d input, and rows = 2L a probe stack
 SHAPES = {"1x64": (1, 64, 200), "128x64": (128, 64, 20), "256x128": (256, 128, 10)}
 
@@ -70,18 +64,8 @@ def loops(x, x_hat, loss, calls: int) -> tuple:
     return value, value_grad
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--src", default=os.path.join(ROOT, "src"),
-                        help="directory holding the eobkit package to time")
-    parser.add_argument("--label", default="head", help="key of this run in the output file")
-    args = parser.parse_args(argv)
-
-    sys.path.insert(0, os.path.abspath(args.src))
-    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+def measure() -> tuple[dict, dict]:
     import numpy as np
-    from worker import environment
 
     from eobkit import gradcheck
     from eobkit.processes import make_rng
@@ -99,13 +83,12 @@ def main(argv: list[str] | None = None) -> int:
         median_us.setdefault(name, {}).setdefault(kind, {})[shape] = us
         print(f"{name:24s} {kind:10s} {shape:8s} {us:10.1f} us", flush=True)
 
-    write_run(OUT, args.label, {"environment": environment(), "median_us": median_us},
-              shapes={shape: {"rows": rows, "length": L, "calls_per_loop": calls}
-                      for shape, (rows, L, calls) in SHAPES.items()},
-              statistic=f"median of {REPEATS} rounds, each running every loop once, after "
-                        "one warm-up round; microseconds per call")
-    return 0
+    return {"median_us": median_us}, dict(
+        shapes={shape: {"rows": rows, "length": L, "calls_per_loop": calls}
+                for shape, (rows, L, calls) in SHAPES.items()},
+        statistic=f"median of {REPEATS} rounds, each running every loop once, after "
+                  "one warm-up round; microseconds per call")
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(common.main("losses", __doc__, measure))

@@ -23,31 +23,14 @@ kept, so runs of two versions of the package sit side by side.
 
 from __future__ import annotations
 
-import argparse
-import os
-import sys
+import common
+from common import REPEATS, median_seconds
 
-from common import REPEATS, median_seconds, write_run
-
-HERE = os.path.dirname(os.path.abspath(__file__))
-ROOT = os.path.dirname(HERE)
-OUT = os.path.join(ROOT, "BENCH_theory.json")
 SWEEP = (16, 128, 512, 2048)
 PHI = 0.9
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--src", default=os.path.join(ROOT, "src"),
-                        help="directory holding the eobkit package to time")
-    parser.add_argument("--label", default="head", help="key of this run in the output file")
-    args = parser.parse_args(argv)
-
-    sys.path.insert(0, os.path.abspath(args.src))
-    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
-    from worker import environment
-
+def measure() -> tuple[dict, dict]:
     from eobkit import theory
     from eobkit.processes import ARSpec, Gaussian
 
@@ -68,11 +51,10 @@ def main(argv: list[str] | None = None) -> int:
             median_s.setdefault(name, {})[str(T)] = median_seconds(fn)
             print(f"{name:24s} T={T:5d} {median_s[name][str(T)]:.6f} s", flush=True)
 
-    write_run(OUT, args.label, {"environment": environment(), "median_s": median_s},
-              spec={"phi": [PHI], "sigma_eps2": 0.25}, sweep=list(SWEEP),
-              statistic=f"median of {REPEATS} calls after one warm-up, seconds")
-    return 0
+    return {"median_s": median_s}, dict(
+        spec={"phi": [PHI], "sigma_eps2": 0.25}, sweep=list(SWEEP),
+        statistic=f"median of {REPEATS} calls after one warm-up, seconds")
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(common.main("theory", __doc__, measure))

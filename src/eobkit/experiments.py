@@ -19,6 +19,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -26,8 +27,8 @@ from . import losses, transforms
 from .diagnostics import (SurfacePoint, _rank_correlation, inefficiency_ratio,
                           optimal_mse_baseline, sliding_windows)
 from .gradcheck import central_difference, relative_error
-from .processes import (ARSpec, DeterministicSpec, HybridSpec, _cast, _float, _int, make_rng,
-                        synthesize_deterministic, synthesize_hybrid)
+from .processes import (ARSpec, DeterministicSpec, HybridSpec, _bool, _cast, _float, _int,
+                        make_rng, synthesize_deterministic, synthesize_hybrid)
 
 __all__ = [
     "CellRecord",
@@ -111,7 +112,8 @@ class TrainConfig:
     check_gradients: bool = True
 
     def __post_init__(self):
-        _cast(self, lr=_float, max_epochs=_int, patience=_int, batch_size=_int, split=_float)
+        _cast(self, lr=_float, max_epochs=_int, patience=_int, batch_size=_int, split=_float,
+              check_gradients=_bool)
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError(f"optimizer must be 'sgd' or 'adam', got {self.optimizer!r}")
         if self.lr < 0.0:
@@ -145,11 +147,27 @@ class GridSpec:
               det_harmonics=_int, det_fmax=_int, det_period=_int)
         if not self.ssnr_x_values or not self.horizons:
             raise ValueError("ssnr_x_values and horizons must be non-empty")
-        if self.replications < 1:
-            raise ValueError(f"replications must be >= 1, got {self.replications}")
+        for name in ("replications", "history", "det_period"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if min(self.horizons) < 1:
+            raise ValueError(f"every horizon must be >= 1, got horizons={self.horizons}")
         if any(v < self.ssnr_z for v in self.ssnr_x_values):
             raise ValueError(
                 f"every ssnr_x must be >= the stochastic floor ssnr_z={self.ssnr_z}")
+        try:
+            self.ar
+        except ValueError as exc:
+            raise ValueError(f"grid noise={self.noise!r}, ssnr_z={self.ssnr_z}, "
+                             f"sigma_eps2={self.sigma_eps2}: {exc}") from None
+        if not 1 <= self.det_harmonics <= self.det_fmax:
+            raise ValueError(f"det_harmonics must lie in [1, det_fmax={self.det_fmax}], "
+                             f"got {self.det_harmonics}")
+
+    @cached_property
+    def ar(self) -> ARSpec:
+        """The stochastic core shared by every cell of the grid."""
+        return ARSpec.ar1_for_ssnr(self.ssnr_z, self.sigma_eps2, self.noise)
 
 
 # ---------------------------------------------------------------------------
@@ -280,10 +298,10 @@ def chronological_split(series: np.ndarray, train_fraction: float) -> tuple[np.n
     return series[:cut], series[cut:]
 
 
-def make_window_pairs(series: np.ndarray, history: int, horizon: int,
-                      stride: int = 1) -> tuple[np.ndarray, np.ndarray]:
+def make_window_pairs(series: np.ndarray, history: int,
+                      horizon: int) -> tuple[np.ndarray, np.ndarray]:
     """Stride-1 (input, target) pairs: X[i] = s[i:i+H], Y[i] = s[i+H:i+H+h]."""
-    both = sliding_windows(series, history + horizon, stride)
+    both = sliding_windows(series, history + horizon)
     return both[:, :history], both[:, history:]
 
 
@@ -431,7 +449,6 @@ class GridResult:
 
 
 def _cell_spec(grid: GridSpec, ssnr_x: float, rng: np.random.Generator) -> HybridSpec:
-    ar = ARSpec.ar1_for_ssnr(grid.ssnr_z, grid.sigma_eps2, grid.noise)
     ssnr_v = ssnr_x - grid.ssnr_z
     if ssnr_v <= 0.0:
         det = None
@@ -442,7 +459,7 @@ def _cell_spec(grid: GridSpec, ssnr_x: float, rng: np.random.Generator) -> Hybri
         phases = tuple(rng.uniform(0.0, 2.0 * math.pi, size=grid.det_harmonics))
         det = DeterministicSpec.for_ssnr(ssnr_v, grid.sigma_eps2, freqs, phases,
                                          grid.det_period)
-    return HybridSpec(ar=ar, det=det, length=grid.series_length)
+    return HybridSpec(ar=grid.ar, det=det, length=grid.series_length)
 
 
 def _run_cell(args: tuple) -> CellRecord:
@@ -482,14 +499,22 @@ def run_grid(grid: GridSpec, model: ModelSpec, cfg: TrainConfig,
 
     Each cell owns an RNG sub-stream keyed by its index, so the output is
     identical whatever the worker count. Cell failures are recorded and the
-    sweep continues; a DWT loss whose 2^levels does not divide a horizon
-    fails up front.
+    sweep continues. A DWT loss whose 2^levels does not divide a horizon, or a
+    split of series_length too short for two training windows or one test
+    window of history + horizon samples, fails up front.
     """
     if cfg.loss.kind == "harmonized" and cfg.loss.transform == "dwt":
         for horizon in grid.horizons:
             if (horizon >> cfg.loss.levels) << cfg.loss.levels != horizon:
                 raise ValueError(f"a DWT loss with levels={cfg.loss.levels} needs horizons "
                                  f"divisible by 2^{cfg.loss.levels}, got horizon {horizon}")
+    window = grid.history + max(grid.horizons)
+    train, test = (len(part) for part in chronological_split(np.empty(grid.series_length),
+                                                             cfg.split))
+    if train < window + 1 or test < window:
+        raise ValueError(f"series_length={grid.series_length} at split={cfg.split} leaves "
+                         f"{train} training and {test} test samples; history + max(horizons) "
+                         f"= {window} needs at least {window + 1} and {window}")
     tasks = [(grid, model, cfg, ssnr_x, horizon, rep) for ssnr_x in grid.ssnr_x_values
              for horizon in grid.horizons for rep in range(grid.replications)]
 

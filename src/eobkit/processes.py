@@ -52,6 +52,13 @@ def _int(value) -> int:
     return int(value)
 
 
+def _bool(value) -> bool:
+    """Cast for boolean fields: true and false pass; 0, 1, "no" and null raise."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"expected a boolean, got {value!r}")
+    return bool(value)
+
+
 def _float(value) -> float:
     """Cast for float fields: 0.5 and 1 pass; nan, inf, "0.5" and booleans raise."""
     if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):

@@ -57,3 +57,24 @@ def test_write_run_keeps_other_labels(tmp_path, capsys):
         doc = json.load(fh)
     assert doc == {"statistic": "s2", "runs": {"parent": {"x": 1}, "change": {"x": 2}}}
     assert "wrote runs['change']" in capsys.readouterr().out
+
+
+def test_main_stores_the_run_with_its_environment_and_header(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(common, "ROOT", str(tmp_path))
+    monkeypatch.setattr(common.sys, "path", list(common.sys.path))
+    src = tmp_path / "other" / "src"
+    common.write_run(str(tmp_path / "BENCH_topic.json"), "parent", {"median_s": 1.0})
+
+    def measure():
+        return {"median_s": 2.0, "calls": 3}, {"sweep": [16, 32], "statistic": "median"}
+
+    assert common.main("topic", "doc", measure, ["--src", str(src), "--label", "x"]) == 0
+    with open(tmp_path / "BENCH_topic.json", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    assert doc["sweep"] == [16, 32] and doc["statistic"] == "median"
+    assert doc["runs"]["parent"] == {"median_s": 1.0}
+    run = doc["runs"]["x"]
+    assert {"cores", "numpy", "blas"} <= set(run["environment"])
+    assert run == {"environment": run["environment"], "median_s": 2.0, "calls": 3}
+    assert common.sys.path[0] == str(src)
+    assert "wrote runs['x']" in capsys.readouterr().out

@@ -259,6 +259,19 @@ class TestFloatFields:
         assert f".{key}: expected a real number, got {bad!r}" in captured.err
 
 
+class TestBoolFields:
+    @pytest.mark.parametrize("bad", ["no", 0, 1, None], ids=["string", "zero", "one", "null"])
+    def test_simulate_rejects_non_boolean(self, bad, tmp_path, capsys):
+        doc = json.loads(json.dumps(GRID_CONFIG))
+        doc["train"]["check_gradients"] = bad
+        src = tmp_path / "grid.json"
+        src.write_text(json.dumps(doc))
+        assert run_cli("simulate", "--grid", str(src), "--jobs", "1") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"TrainConfig.check_gradients: expected a boolean, got {bad!r}" in captured.err
+
+
 _SPEC_FIELDS = [
     ("student_t", "nu"), ("student_t", "alpha"), ("gaussian", "mu"), ("gaussian", "sigma"),
     ("uniform", "a"), ("uniform", "b"), ("poisson", "lambda"), ("geometric", "p"),
@@ -308,6 +321,31 @@ class TestLossConfigAtParse:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert key in captured.err
+
+
+class TestGridSpecAtParse:
+    """A grid that no cell, or only some cells, could run exits 1 before any cell runs,
+    naming the field, with nothing on stdout and no CSV."""
+
+    @pytest.mark.parametrize("key,bad", [
+        ("noise", "cauchy"), ("ssnr_z", 0.5), ("sigma_eps2", 2.0), ("det_fmax", 2),
+        ("det_harmonics", 0), ("det_period", 0), ("history", 0), ("series_length", 10),
+        ("series_length", 66), ("horizons", [0, 16]),
+    ])
+    def test_simulate_rejects_impossible_grid(self, key, bad, tmp_path, capsys):
+        doc = json.loads(json.dumps(GRID_CONFIG))
+        doc["grid"][key] = bad
+        if key == "ssnr_z":
+            doc["grid"]["ssnr_x_values"] = [1.0, 2.0]
+        if key == "sigma_eps2":
+            doc["grid"]["noise"] = "binomial"
+        src, out = tmp_path / "grid.json", tmp_path / "grid.csv"
+        src.write_text(json.dumps(doc))
+        assert run_cli("simulate", "--grid", str(src), "--jobs", "1", "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert key in captured.err
+        assert not out.exists()
 
 
 class TestLossCheck:
