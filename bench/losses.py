@@ -16,6 +16,12 @@ lazily and never read, as on the probe stack and in validation passes), and
 `value_grad`, the call and a read of its gradient. Inputs are the case's own
 margin-safe pairs, drawn at seed 0.
 
+The oracle row times the whole finite-difference check at one length:
+`run_gradient_suite(lengths=(L,), instances=33, seed=0)` over every case, at
+L = 8, 32 and 128 (33 is the share of each length in `loss-check`'s default
+100 instances), reported in seconds per checked instance: the loop's time
+over its 33 instances of each of the 14 cases.
+
 Every input and loss is built before any call is timed: a call timed right
 after its input was built read up to 3x its later time on a 2-core host.
 Each loop makes a fixed number of calls. Five rounds, after one untimed
@@ -31,11 +37,15 @@ of the package sit side by side.
 
 from __future__ import annotations
 
+import functools
+
 import common
 from common import REPEATS, median_seconds_by_rounds
 
 # name: (rows, L, calls per timed loop); rows = 1 is a 1-d input, and rows = 2L a probe stack
 SHAPES = {"1x64": (1, 64, 200), "128x64": (128, 64, 20), "256x128": (256, 128, 10)}
+ORACLE_LENGTHS = (8, 32, 128)
+ORACLE_INSTANCES = 33
 
 
 def case_inputs(np, case, rows: int, L: int, rng):
@@ -77,17 +87,29 @@ def measure() -> tuple[dict, dict]:
             value, value_grad = loops(*case_inputs(np, case, rows, L, rng), calls)
             timed[case.name, "value", shape] = value
             timed[case.name, "value_grad", shape] = value_grad
+    for L in ORACLE_LENGTHS:
+        timed["oracle", L] = functools.partial(gradcheck.run_gradient_suite, lengths=(L,),
+                                               instances=ORACLE_INSTANCES, seed=0)
+    seconds_by_loop = median_seconds_by_rounds(timed)
+    oracle_s: dict[str, float] = {}
+    for L in ORACLE_LENGTHS:
+        oracle_s[str(L)] = per_instance = (seconds_by_loop.pop(("oracle", L))
+                                           / (ORACLE_INSTANCES * len(gradcheck.LOSS_CASES)))
+        print(f"{'oracle':24s} L={L:<8d} {1e6 * per_instance:10.1f} us per instance", flush=True)
     median_us: dict[str, dict[str, dict[str, float]]] = {}
-    for (name, kind, shape), seconds in median_seconds_by_rounds(timed).items():
+    for (name, kind, shape), seconds in seconds_by_loop.items():
         us = 1e6 * seconds / SHAPES[shape][2]
         median_us.setdefault(name, {}).setdefault(kind, {})[shape] = us
         print(f"{name:24s} {kind:10s} {shape:8s} {us:10.1f} us", flush=True)
 
-    return {"median_us": median_us}, dict(
+    return {"median_us": median_us, "oracle_s_per_instance": oracle_s}, dict(
         shapes={shape: {"rows": rows, "length": L, "calls_per_loop": calls}
                 for shape, (rows, L, calls) in SHAPES.items()},
+        oracle={"lengths": list(ORACLE_LENGTHS), "instances_per_case": ORACLE_INSTANCES,
+                "cases": len(gradcheck.LOSS_CASES), "seed": 0},
         statistic=f"median of {REPEATS} rounds, each running every loop once, after "
-                  "one warm-up round; microseconds per call")
+                  "one warm-up round; microseconds per call, and for the oracle "
+                  "seconds per instance")
 
 
 if __name__ == "__main__":

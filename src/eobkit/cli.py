@@ -184,9 +184,17 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
     return 0
 
 
+def _int_or_text(text: str) -> int | str:
+    try:
+        return int(text)
+    except ValueError:
+        return text
+
+
 def _cmd_loss_check(args: argparse.Namespace) -> int:
     names = tuple(args.losses.split(",")) if args.losses != "all" else None
-    lengths = tuple(int(v) for v in args.lengths.split(","))
+    # text that is no integer goes through as it is, for the suite to reject by name
+    lengths = tuple(_int_or_text(v) for v in (args.lengths.split(",") if args.lengths else ()))
     reports = gradcheck.run_gradient_suite(lengths=lengths, instances=args.instances,
                                            seed=args.seed, names=names)
     payload = {"checks": [r.to_dict() for r in reports],

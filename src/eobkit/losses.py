@@ -210,22 +210,24 @@ def _coefficient_loss(x: np.ndarray, x_hat: np.ndarray, weights: float | np.ndar
     """sum_k w_k pen(d_k) over the coefficients d of the residual x - x_hat.
 
     The one kernel of every loss linear in the coefficients: `weights` is 1 or
-    one weight per bin, pen is |.| or (.)^2 on the real and imaginary parts,
-    and the gradient is pulled back through the transform's adjoint. For dft,
+    one weight per bin, as an (L,) array shared by every row or an (..., L)
+    array of per-row weights that broadcasts against the rows; pen is |.| or
+    (.)^2 on the real and imaginary parts, and the gradient is pulled back
+    through the transform's adjoint. For dft,
     d is the half spectrum: pen(d_k) = pen(d_{L-k}), so the full sum is
     sum_k m_k w~_k pen(d_k) over bins 0..L//2 with w~_k = (w_k + w_{L-k})/2,
     exact for any weights, and w~ * pen'(d) pulls back through the synthesis.
     """
     x, x_hat = _check_lengths(x, x_hat)
     L = x_hat.shape[-1]
-    if np.ndim(weights) and np.shape(weights) != (L,):
+    if np.ndim(weights) and np.shape(weights)[-1] != L:
         raise ValueError(f"length mismatch: weights of shape {np.shape(weights)}, "
                          f"series of length {L}")
     if transform == "dft":
         d = transforms._rdft_analysis(x - x_hat)
         multiplicity, mirror = transforms._rdft_bins(L)
         if np.ndim(weights):
-            weights = 0.5 * (weights[:mirror.size] + weights[mirror])
+            weights = 0.5 * (weights[..., :mirror.size] + weights[..., mirror])
         value_weights = multiplicity * weights
         pen = _penalty(d.real, norm) + _penalty(d.imag, norm)
     else:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import eobkit
+from eobkit import gradcheck
 from eobkit.cli import _fmt, _parse_experiment_config, main
 from eobkit.experiments import GridSpec, ModelSpec
 from eobkit.processes import calibrate_innovation, hybrid_spec_from_dict, innovation_to_dict
@@ -368,6 +369,37 @@ class TestLossCheck:
 
     def test_unknown_loss_is_validation_error(self):
         assert run_cli("loss-check", "--losses", "nonsense") == 1
+
+
+class TestLossCheckLengths:
+    @pytest.mark.parametrize("lengths,message", [
+        ("", "lengths must name at least one"), ("0", "lengths must be >= 1, got 0"),
+        ("-4", "lengths must be >= 1, got -4"), ("8,x", "lengths: expected an integer, got 'x'"),
+        ("8.5", "lengths: expected an integer, got '8.5'"),
+        ("1", "lengths must be even for harmonized_l2_dwt, got 1"),
+        ("8,7,32", "lengths must be even for harmonized_l2_dwt, got 7")])
+    def test_bad_lengths_exit_1_naming_the_flag(self, lengths, message, capsys, tmp_path):
+        out = tmp_path / "report.json"
+        assert run_cli("loss-check", "--lengths", lengths, "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        assert not out.exists()
+
+    def test_odd_length_passes_without_the_dwt_case(self, capsys):
+        assert run_cli("loss-check", "--lengths", "7", "--instances", "2",
+                       "--losses", "temporal_l2,freq_real_imag_l1") == 0
+        assert json.loads(capsys.readouterr().out)["all_passed"] is True
+
+    def test_lengths_without_instances_pass(self, capsys):
+        assert run_cli("loss-check", "--instances", "1") == 0
+        report = json.loads(capsys.readouterr().out)
+        assert [c["instances"] for c in report["checks"]] == [1] * len(report["checks"])
+
+    @pytest.mark.parametrize("lengths", [(), (0,), (8, 8.5), (8, "x"), (True,)])
+    def test_library_rejects_by_name(self, lengths):
+        with pytest.raises(ValueError, match="lengths"):
+            gradcheck.run_gradient_suite(lengths=lengths, instances=3)
 
 
 @pytest.fixture

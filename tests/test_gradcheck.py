@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eobkit import gradcheck
+from eobkit.processes import make_rng
 
 
 def central_difference_loop(fn, x_hat, h_scale=1e-6):
@@ -21,6 +22,24 @@ def central_difference_loop(fn, x_hat, h_scale=1e-6):
 
 
 class TestCentralDifference:
+    @pytest.mark.parametrize("case", [c for c in gradcheck.LOSS_CASES
+                                      if c.name != "harmonized_l2_dwt"], ids=lambda c: c.name)
+    @given(n=st.integers(1, 5), L=st.sampled_from([8, 15, 32]),
+           seed=st.integers(0, 2**31 - 1))
+    @settings(max_examples=10, deadline=None)
+    def test_rows_equal_one_dimensional_calls(self, case, n, L, seed):
+        rng = np.random.default_rng(seed)
+        draws = [case.make_pair(rng, L) + case.draw(rng, L) for _ in range(n)]
+        x, x_hat, *mags = (np.stack(a) for a in zip(*draws))
+        x_hat = x_hat * rng.uniform(0.5, 3.0, size=(n, 1))  # rows with different steps
+        batched = gradcheck.central_difference(
+            lambda p: case.loss(x[:, None], p, *(m[:, None] for m in mags)).value, x_hat)
+        assert batched.shape == (n, L)
+        for r in range(n):
+            row = gradcheck.central_difference(
+                lambda p: case.loss(x[r], p, *(m[r] for m in mags)).value, x_hat[r])
+            np.testing.assert_array_equal(batched[r], row)
+
     @pytest.mark.parametrize("case", gradcheck.LOSS_CASES, ids=lambda c: c.name)
     @given(L=st.sampled_from([8, 16, 32]), seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=10, deadline=None)
@@ -31,6 +50,19 @@ class TestCentralDifference:
         batched = gradcheck.central_difference(lambda xh: loss(x, xh).value, x_hat)
         looped = central_difference_loop(lambda xh: loss(x, xh).value, x_hat)
         assert gradcheck.relative_error(batched, looped) < 1e-9
+
+    def test_builds_the_stack_in_out(self):
+        x_hat = np.array([[0.5, -2.0, 3.0], [1.0, 0.0, -0.25]])
+        out = np.full((2, 6, 3), np.nan)
+        seen = []
+
+        def fn(probes):
+            seen.append(probes)
+            return np.sum(probes**2, axis=-1)
+
+        np.testing.assert_array_equal(gradcheck.central_difference(fn, x_hat, out=out),
+                                      gradcheck.central_difference(fn, x_hat))
+        assert seen[0] is out
 
     def test_one_call_with_every_probe(self):
         x_hat = np.array([0.5, -2.0, 3.0])
@@ -48,28 +80,66 @@ class TestCentralDifference:
         np.testing.assert_allclose(grad, 2.0 * x_hat, rtol=1e-9)
 
 
-def test_suite_calls_each_loss_twice(monkeypatch):
-    calls = []
+def reference_suite(lengths, instances, seed):
+    """Reference suite: one instance at a time, each with its own analytic call and its
+    own finite-difference call on its (2L, L) probe stack; worst error per case name."""
+    rng = make_rng(seed)
+    per_length, extra = divmod(instances, len(lengths))
+    worst = {}
+    for case in gradcheck.LOSS_CASES:
+        worst[case.name] = 0.0
+        for i, L in enumerate(lengths):
+            for _ in range(per_length + (i < extra)):
+                x, x_hat = case.make_pair(rng, L)
+                loss = case.make_loss(rng, L)
+                analytic = loss(x, x_hat).grad_wrt_prediction
+                fd = gradcheck.central_difference(lambda xh: loss(x, xh).value, x_hat)
+                worst[case.name] = max(worst[case.name],
+                                       float(gradcheck.relative_error(analytic, fd)))
+    return worst
 
-    def counting(make_loss):
-        def make(rng, L):
-            fn = make_loss(rng, L)
-            calls.append(0)
-            index = len(calls) - 1
 
-            def counted(x, x_hat):
-                calls[index] += 1
-                return fn(x, x_hat)
-            return counted
-        return make
+class TestBatchedSuite:
+    @pytest.mark.parametrize("lengths,instances,seed", [((8, 32, 128), 7, 0),
+                                                         ((8, 32, 128), 7, 1),
+                                                         ((32,), 40, 2), ((8, 16), 5, 3)])
+    def test_reports_equal_the_per_instance_loop(self, lengths, instances, seed):
+        reports = gradcheck.run_gradient_suite(lengths=lengths, instances=instances, seed=seed)
+        worst = reference_suite(lengths, instances, seed)
+        assert [r.name for r in reports] == list(worst)
+        for r in reports:
+            assert r.passed and r.instances == instances
+            if r.name == "harmonized_l2_dwt":
+                # its DWT is a GEMM whose rounding depends on the row count
+                assert r.max_rel_err == pytest.approx(worst[r.name], rel=1e-3)
+            else:
+                assert r.max_rel_err == worst[r.name], r.name
 
-    cases = tuple(dataclasses.replace(c, make_loss=counting(c.make_loss))
-                  for c in gradcheck.LOSS_CASES)
-    monkeypatch.setattr(gradcheck, "LOSS_CASES", cases)
-    reports = gradcheck.run_gradient_suite(lengths=(8, 16), instances=3, seed=1)
-    assert all(r.passed for r in reports)
-    assert len(calls) == 3 * len(cases)
-    assert calls == [2] * len(calls)
+    def test_one_analytic_call_and_one_fd_call_per_block(self, monkeypatch):
+        calls = []
+
+        def counting(case):
+            def loss(x, x_hat, *mags):
+                calls.append((case.name, x_hat.shape))
+                return case.loss(x, x_hat, *mags)
+            return dataclasses.replace(case, loss=loss)
+
+        monkeypatch.setattr(gradcheck, "LOSS_CASES",
+                            tuple(counting(c) for c in gradcheck.LOSS_CASES))
+        lengths, per_length = (8, 32, 128), 20
+        reports = gradcheck.run_gradient_suite(lengths=lengths, instances=3 * per_length, seed=1)
+        assert all(r.passed for r in reports)
+        expected = []
+        for case in gradcheck.LOSS_CASES:
+            for L in lengths:
+                block = max(1, gradcheck.PROBE_VALUES_PER_CALL // (2 * L * L))
+                expected.append((case.name, (per_length, L)))
+                expected += [(case.name, (min(block, per_length - start), 2 * L, L))
+                             for start in range(0, per_length, block)]
+        assert calls == expected
+        # 1 + ceil(20 / 256) + 1 + ceil(20 / 16) + 1 + 20 calls per case
+        assert len(calls) == 26 * len(gradcheck.LOSS_CASES)
+        assert max(np.prod(shape) for _, shape in calls) == gradcheck.PROBE_VALUES_PER_CALL
 
 
 @pytest.mark.parametrize("L", [7, 8, 128])

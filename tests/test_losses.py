@@ -289,7 +289,7 @@ class TestBatchContract:
     def assert_rows_match(batched, rows):
         ref = np.asarray(rows)
         assert np.shape(batched) == ref.shape
-        assert gradcheck.relative_error(batched, ref) <= 1e-12
+        assert np.max(gradcheck.relative_error(batched, ref)) <= 1e-12
 
     @pytest.mark.parametrize("case", gradcheck.LOSS_CASES, ids=lambda c: c.name)
     @given(B=st.integers(1, 5), L=st.sampled_from([8, 16, 32]),
@@ -316,6 +316,57 @@ class TestBatchContract:
         x, x_hat = rng.normal(size=8), rng.normal(size=8)
         assert isinstance(temporal_l2(x, x_hat).value, float)
         assert temporal_l2(x[None], x_hat[None]).value.shape == (1,)
+
+
+def _weighted(name: str, transform: str):
+    """(x, x_hat, f_bar) -> LossEval for a weighted loss over one transform."""
+    norm = name[-2:]
+    if name.startswith("harmonized"):
+        loss = harmonized_l1 if norm == "l1" else harmonized_l2
+        cfg = HarmonizedConfig(norm=norm, transform=transform, wavelet="db2")
+        return lambda x, x_hat, f_bar: loss(x, x_hat, EmaMagnitudes(f_bar=f_bar, beta=0.3), cfg)
+    return lambda x, x_hat, f_bar: whitened_loss(x, x_hat, f_bar, norm, transform)
+
+
+class TestPerRowWeights:
+    """Weights of shape (n, L) or (n, 1, L) score each row with its own weights."""
+
+    NAMES = ["harmonized_l1", "harmonized_l2", "whitened_l1", "whitened_l2"]
+
+    @pytest.mark.parametrize("transform", ["dft", "dwt", "identity"])
+    @pytest.mark.parametrize("name", NAMES)
+    @given(n=st.integers(1, 4), L=st.sampled_from([8, 16, 32]), probes=st.sampled_from([0, 3]),
+           seed=st.integers(0, 2**31 - 1))
+    @settings(max_examples=10, deadline=None)
+    def test_rows_equal_single_calls(self, name, transform, n, L, probes, seed):
+        rng = np.random.default_rng(seed)
+        loss = _weighted(name, transform)
+        f_bar = rng.uniform(0.2, 2.0, size=(n, L))
+        if probes:  # (n, 1, L) targets and weights against (n, probes, L) predictions
+            x, x_hat = rng.normal(size=(n, 1, L)), rng.normal(size=(n, probes, L))
+            w = f_bar[:, None]
+        else:
+            x, x_hat, w = rng.normal(size=(n, L)), rng.normal(size=(n, L)), f_bar
+        ev = loss(x, x_hat, w)
+        assert np.shape(ev.value) == x_hat.shape[:-1]
+        assert ev.grad_wrt_prediction.shape == x_hat.shape
+        for r in range(n):
+            row = loss(x[r], x_hat[r], f_bar[r])
+            for got, want in [(ev.value[r], row.value),
+                              (ev.grad_wrt_prediction[r], row.grad_wrt_prediction)]:
+                if transform == "dwt":  # a GEMM whose rounding depends on the row count
+                    assert np.max(gradcheck.relative_error(got, want)) <= 1e-12
+                else:
+                    np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("transform", ["dft", "dwt", "identity"])
+    @pytest.mark.parametrize("name", NAMES)
+    @pytest.mark.parametrize("shape", [(3, 4), (3, 1, 9), (3, 1, 1)])
+    def test_weights_of_another_length_rejected(self, name, transform, shape, rng):
+        f_bar = rng.uniform(0.2, 2.0, size=shape)
+        with pytest.raises(ValueError, match="length mismatch"):
+            _weighted(name, transform)(rng.normal(size=(3, 1, 8)), rng.normal(size=(3, 2, 8)),
+                                       f_bar)
 
 
 def test_ema_keeps_caller_array_writable():
@@ -345,8 +396,8 @@ class TestBroadcastTarget:
             assert np.shape(got.value) == (B,)
             assert got.grad_wrt_prediction.shape == (B, L)
             assert gradcheck.relative_error(got.value, want.value) <= 1e-12
-            assert gradcheck.relative_error(got.grad_wrt_prediction,
-                                            want.grad_wrt_prediction) <= 1e-12
+            assert np.max(gradcheck.relative_error(got.grad_wrt_prediction,
+                                                   want.grad_wrt_prediction)) <= 1e-12
 
     @pytest.mark.parametrize("case", gradcheck.LOSS_CASES, ids=lambda c: c.name)
     @pytest.mark.parametrize("target_shape, pred_shape",
@@ -422,9 +473,10 @@ class TestLazyGradient:
             return list(seen)
 
         def analytic_only():
+            # the suite's analytic call: the instance as a (1, L) block
             rng = make_rng(0)
             x, x_hat = case.make_pair(rng, L)
-            case.make_loss(rng, L)(x, x_hat).grad_wrt_prediction
+            case.make_loss(rng, L)(x[None], x_hat[None]).grad_wrt_prediction
 
         monkeypatch.setattr(np.fft, "ifft", counting(np.fft.ifft))
         monkeypatch.setattr(transforms, "_rdft_synthesis", counting(transforms._rdft_synthesis))
@@ -432,7 +484,7 @@ class TestLazyGradient:
         suite = record(lambda: gradcheck.run_gradient_suite(
             lengths=(L,), instances=1, seed=0, names=(case.name,)))
         assert suite == record(analytic_only)
-        assert all(shape == (L,) for shape in suite)
+        assert all(shape in ((L,), (1, L)) for shape in suite)
         pairs_only = record(lambda: case.make_pair(make_rng(0), L))
         temporal = case.name in ("temporal_l2", "temporal_l1", "harmonized_l1_identity")
         assert len(suite) == len(pairs_only) + (0 if temporal else 1 + ("phase" in case.name))
