@@ -27,8 +27,8 @@ from . import losses, transforms
 from .diagnostics import (SurfacePoint, _rank_correlation, inefficiency_ratio,
                           optimal_mse_baseline, sliding_windows)
 from .gradcheck import central_difference, relative_error
-from .processes import (ARSpec, DeterministicSpec, HybridSpec, _bool, _cast, _float, _int,
-                        make_rng, synthesize_deterministic, synthesize_hybrid)
+from .processes import (ARSpec, DeterministicSpec, HybridSpec, _cast, make_rng,
+                        synthesize_deterministic, synthesize_hybrid)
 
 __all__ = [
     "CellRecord",
@@ -73,7 +73,7 @@ class ModelSpec:
     init_seed: int = 0
 
     def __post_init__(self):
-        _cast(self, hidden=_int, init_seed=_int)
+        _cast(self)
         if self.kind not in ("linear", "mlp1"):
             raise ValueError(f"kind must be 'linear' or 'mlp1', got {self.kind!r}")
         if self.activation not in ("tanh", "relu"):
@@ -93,7 +93,6 @@ class LossSpec(losses.HarmonizedConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        _cast(self, beta=_float)
         if self.kind not in ("temporal", "harmonized"):
             raise ValueError(f"loss kind must be 'temporal' or 'harmonized', got {self.kind!r}")
         if not 0.0 <= self.beta < 1.0:
@@ -112,8 +111,7 @@ class TrainConfig:
     check_gradients: bool = True
 
     def __post_init__(self):
-        _cast(self, lr=_float, max_epochs=_int, patience=_int, batch_size=_int, split=_float,
-              check_gradients=_bool)
+        _cast(self)
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError(f"optimizer must be 'sgd' or 'adam', got {self.optimizer!r}")
         if self.lr < 0.0:
@@ -141,10 +139,7 @@ class GridSpec:
     det_period: int = 128
 
     def __post_init__(self):
-        _cast(self, ssnr_x_values=lambda v: tuple(map(_float, v)),
-              horizons=lambda v: tuple(map(_int, v)), history=_int, series_length=_int,
-              replications=_int, seed=_int, ssnr_z=_float, sigma_eps2=_float,
-              det_harmonics=_int, det_fmax=_int, det_period=_int)
+        _cast(self)
         if not self.ssnr_x_values or not self.horizons:
             raise ValueError("ssnr_x_values and horizons must be non-empty")
         for name in ("replications", "history", "det_period"):
@@ -327,12 +322,12 @@ def _grad_check_at_init(model: _Model, X: np.ndarray, Y: np.ndarray,
             return values
 
         fd = central_difference(objective, keep)
-        worst = max(worst, relative_error(grads[name].reshape(-1)[idx], fd))
-    if worst > tol:
+        worst = np.maximum(worst, relative_error(grads[name].reshape(-1)[idx], fd))  # NaN wins
+    if not worst <= tol:
         raise GradientCheckError(
             f"analytic gradient disagrees with finite differences "
             f"(max rel err {worst:.3e} > {tol:g})")
-    return worst
+    return float(worst)
 
 
 @dataclass

@@ -18,6 +18,7 @@ points.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Callable
@@ -217,7 +218,9 @@ class GradCheckReport:
         return self.max_rel_err < self.tolerance
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "passed": self.passed}
+        # JSON has no NaN or inf: such an error is written as null, next to "passed": false
+        err = self.max_rel_err if math.isfinite(self.max_rel_err) else None
+        return {**asdict(self), "max_rel_err": err, "passed": self.passed}
 
 
 def _checked_lengths(lengths, cases: tuple[GradCase, ...]) -> tuple[int, ...]:
@@ -253,8 +256,8 @@ def _score(case: GradCase, x: np.ndarray, x_hat: np.ndarray,
         x_rows, mag_rows = x[rows, None], tuple(m[rows, None] for m in mags)
         fd = central_difference(lambda probes: case.loss(x_rows, probes, *mag_rows).value,
                                 x_hat[rows], out=stack[:len(x_rows)])
-        worst = max(worst, float(np.max(relative_error(analytic[rows], fd))))
-    return worst
+        worst = np.maximum(worst, np.max(relative_error(analytic[rows], fd)))  # NaN wins
+    return float(worst)
 
 
 def run_gradient_suite(lengths: tuple[int, ...] = (8, 32, 128), instances: int = 100,
@@ -268,6 +271,11 @@ def run_gradient_suite(lengths: tuple[int, ...] = (8, 32, 128), instances: int =
     """
     cases = LOSS_CASES if names is None else tuple(c for c in LOSS_CASES if c.name in names)
     if names is not None and len(cases) != len(names):
+        if "" in names:
+            raise ValueError(f"empty loss case name in {list(names)}")
+        duplicates = sorted({n for n in names if names.count(n) > 1})
+        if duplicates:
+            raise ValueError(f"duplicate loss case(s): {duplicates}")
         known = {c.name for c in LOSS_CASES}
         raise ValueError(f"unknown loss case(s): {sorted(set(names) - known)}")
     if instances < 1:
@@ -284,7 +292,7 @@ def run_gradient_suite(lengths: tuple[int, ...] = (8, 32, 128), instances: int =
                 continue
             draws = [case.make_pair(rng, L) + case.draw(rng, L) for _ in range(n)]
             x, x_hat, *mags = (np.stack(a) for a in zip(*draws))
-            worst = max(worst, _score(case, x, x_hat, tuple(mags)))
+            worst = np.maximum(worst, _score(case, x, x_hat, tuple(mags)))  # NaN wins
         reports.append(GradCheckReport(name=case.name, tolerance=case.tolerance,
-                                       max_rel_err=worst, instances=instances))
+                                       max_rel_err=float(worst), instances=instances))
     return reports

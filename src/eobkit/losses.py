@@ -46,7 +46,7 @@ from typing import Callable
 import numpy as np
 
 from . import transforms
-from .processes import _cast, _float, _int
+from .processes import _cast
 
 __all__ = [
     "EmaMagnitudes",
@@ -146,7 +146,7 @@ class HarmonizedConfig:
     levels: int = 1
 
     def __post_init__(self):
-        _cast(self, gamma=_float, eps=_float, levels=_int)
+        _cast(self)
         if self.norm not in ("l1", "l2"):
             raise ValueError(f"norm must be 'l1' or 'l2', got {self.norm!r}")
         if self.transform not in ("dft", "dwt", "identity"):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import MISSING, Field, asdict, dataclass, field, fields
+from dataclasses import MISSING, Field, dataclass, field, fields
 from typing import Union
 
 import numpy as np
@@ -30,17 +30,6 @@ class NonStationaryError(ValueError):
 
 
 SeedLike = Union[int, np.random.SeedSequence]
-
-
-def _cast(spec, **casts) -> None:
-    """Coerce fields of a frozen dataclass in place (JSON numbers come as int or float);
-    a failure names the field by its JSON key."""
-    for name, cast in casts.items():
-        try:
-            object.__setattr__(spec, name, cast(getattr(spec, name)))
-        except (TypeError, ValueError) as exc:
-            key = next(_json_key(f) for f in fields(spec) if f.name == name)
-            raise ValueError(f"{type(spec).__name__}.{key}: {exc}") from None
 
 
 def _int(value) -> int:
@@ -68,6 +57,30 @@ def _float(value) -> float:
     return float(value)
 
 
+def _items(cast):
+    """Cast for tuple fields, item by item: a string or a JSON object is one bad item,
+    not a sequence (iterated, "" and {} would pass as an empty tuple)."""
+    return lambda value: tuple(map(cast, [value] if isinstance(value, (str, dict)) else value))
+
+
+# a field's annotation, the string that `from __future__ import annotations` keeps, to its cast
+_CASTS = {"int": _int, "float": _float, "bool": _bool,
+          "tuple[int, ...]": _items(_int), "tuple[float, ...]": _items(_float)}
+
+
+def _cast(spec) -> None:
+    """Coerce each field of a frozen dataclass whose annotation is in _CASTS, in place
+    (JSON numbers come as int or float); a failure names the field by its JSON key.
+    Other fields (strings, nested specs) are left to the class's own checks."""
+    for f in fields(spec):
+        cast = _CASTS.get(f.type)
+        if cast is not None:
+            try:
+                object.__setattr__(spec, f.name, cast(getattr(spec, f.name)))
+            except (TypeError, ValueError, OverflowError) as exc:  # an int beyond float range
+                raise ValueError(f"{type(spec).__name__}.{_json_key(f)}: {exc}") from None
+
+
 def make_rng(seed: SeedLike) -> np.random.Generator:
     """Philox generator keyed by an integer seed or a SeedSequence."""
     if isinstance(seed, np.random.SeedSequence):
@@ -92,7 +105,7 @@ class Binomial:
     p: float
 
     def __post_init__(self):
-        _cast(self, n=_int, p=_float)
+        _cast(self)
         if self.n < 1:
             raise ValueError(f"binomial requires n >= 1, got n={self.n}")
         if not 0.0 < self.p <= 1.0:
@@ -115,7 +128,7 @@ class Geometric:
     p: float
 
     def __post_init__(self):
-        _cast(self, p=_float)
+        _cast(self)
         if not 0.0 < self.p <= 1.0:
             raise ValueError(f"geometric requires 0 < p <= 1, got p={self.p}")
 
@@ -138,7 +151,7 @@ class Gaussian:
     sigma: float
 
     def __post_init__(self):
-        _cast(self, mu=_float, sigma=_float)
+        _cast(self)
         if self.sigma <= 0.0:
             raise ValueError(f"gaussian requires sigma > 0, got sigma={self.sigma}")
 
@@ -159,7 +172,7 @@ class Poisson:
     lam: float = field(metadata={"json_key": "lambda"})
 
     def __post_init__(self):
-        _cast(self, lam=_float)
+        _cast(self)
         if self.lam <= 0.0:
             raise ValueError(f"poisson requires lambda > 0, got lambda={self.lam}")
 
@@ -181,7 +194,7 @@ class StudentT:
     alpha: float
 
     def __post_init__(self):
-        _cast(self, nu=_float, alpha=_float)
+        _cast(self)
         if self.nu <= 2.0:
             raise ValueError(f"student_t requires nu > 2 for finite variance, got nu={self.nu}")
         if self.alpha <= 0.0:
@@ -205,7 +218,7 @@ class Uniform:
     b: float
 
     def __post_init__(self):
-        _cast(self, a=_float, b=_float)
+        _cast(self)
         if not self.b > self.a:
             raise ValueError(f"uniform requires b > a, got a={self.a}, b={self.b}")
 
@@ -231,13 +244,6 @@ _INNOVATION_KINDS = {
     "student_t": StudentT,
     "uniform": Uniform,
 }
-
-
-def innovation_kind(dist: InnovationDist) -> str:
-    for kind, cls in _INNOVATION_KINDS.items():
-        if isinstance(dist, cls):
-            return kind
-    raise TypeError(f"unknown innovation distribution type: {type(dist)!r}")
 
 
 def calibrate_innovation(kind: str, sigma_eps2: float, nu: float = 5.0) -> InnovationDist:
@@ -318,7 +324,7 @@ class ARSpec:
     sigma_eps2: float
 
     def __post_init__(self):
-        _cast(self, c=_float, phi=lambda v: tuple(map(_float, v)), sigma_eps2=_float)
+        _cast(self)
         if self.sigma_eps2 <= 0.0:
             raise ValueError(f"sigma_eps2 must be positive, got {self.sigma_eps2}")
         if not math.isclose(self.innovation.variance, self.sigma_eps2,
@@ -368,8 +374,7 @@ class DeterministicSpec:
     period: int
 
     def __post_init__(self):
-        _cast(self, base_amplitude=_float, freqs=lambda v: tuple(map(_int, v)),
-              phases=lambda v: tuple(map(_float, v)), period=_int)
+        _cast(self)
         if len(self.freqs) == 0:
             raise ValueError("at least one harmonic frequency is required")
         if len(self.freqs) != len(self.phases):
@@ -418,7 +423,7 @@ class HybridSpec:
     length: int
 
     def __post_init__(self):
-        _cast(self, length=_int)
+        _cast(self)
         if self.length < 0:
             raise ValueError(f"length must be >= 0, got {self.length}")
 
@@ -542,7 +547,7 @@ def synthesize_hybrid(spec: HybridSpec, seed: SeedLike = 0) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization (schema: {"ar": {...}, "det": {...}, "length": N})
+# JSON loading (schema: {"ar": {...}, "det": {...}, "length": N})
 # ---------------------------------------------------------------------------
 
 def _json_key(f: Field) -> str:
@@ -561,7 +566,8 @@ def from_dict(cls, obj, where: str, nested: dict | None = None, **fixed):
     The keys are the fields of `cls` (a field's metadata "json_key" renames
     its key) less the `fixed` ones, which the caller supplies; a field
     without a default is required. `nested` maps a key to the loader of its
-    section.
+    section. The values' types are checked by `cls` itself: its __post_init__
+    calls `_cast`, which casts each field by its annotation.
     """
     values = _json_object(obj, where)
     by_key = {_json_key(f): f for f in fields(cls) if f.name not in fixed}
@@ -578,11 +584,6 @@ def from_dict(cls, obj, where: str, nested: dict | None = None, **fixed):
     return cls(**{by_key[key].name: value for key, value in values.items()}, **fixed)
 
 
-def innovation_to_dict(dist: InnovationDist) -> dict:
-    return {"kind": innovation_kind(dist),
-            **{_json_key(f): getattr(dist, f.name) for f in fields(dist)}}
-
-
 def innovation_from_dict(obj: dict) -> InnovationDist:
     values = _json_object(obj, "innovation")
     kind = values.pop("kind", None)
@@ -592,16 +593,8 @@ def innovation_from_dict(obj: dict) -> InnovationDist:
     return from_dict(_INNOVATION_KINDS[kind], values, f"innovation[{kind}]")
 
 
-def ar_spec_to_dict(spec: ARSpec) -> dict:
-    return {**asdict(spec), "innovation": innovation_to_dict(spec.innovation)}
-
-
 def ar_spec_from_dict(obj: dict) -> ARSpec:
     return from_dict(ARSpec, obj, "ar", nested={"innovation": innovation_from_dict})
-
-
-def det_spec_to_dict(spec: DeterministicSpec) -> dict:
-    return {"K": spec.K, **asdict(spec)}
 
 
 def det_spec_from_dict(obj: dict) -> DeterministicSpec:
@@ -611,13 +604,6 @@ def det_spec_from_dict(obj: dict) -> DeterministicSpec:
     if "K" in obj and (isinstance(K, bool) or K != spec.K):
         raise ValueError(f"det.K={K!r} must equal len(freqs)={spec.K}")
     return spec
-
-
-def hybrid_spec_to_dict(spec: HybridSpec) -> dict:
-    out = {"ar": ar_spec_to_dict(spec.ar), "length": spec.length}
-    if spec.det is not None:
-        out["det"] = det_spec_to_dict(spec.det)
-    return out
 
 
 def hybrid_spec_from_dict(obj: dict) -> HybridSpec:

@@ -12,6 +12,17 @@ import pytest
 from eobkit.processes import ARSpec, calibrate_innovation
 
 
+# one JSON innovation block per family, each with variance 0.25
+INNOVATION_DOCS = {
+    "binomial": {"kind": "binomial", "n": 1, "p": 0.5},
+    "geometric": {"kind": "geometric", "p": 0.8284271247461903},
+    "gaussian": {"kind": "gaussian", "mu": 0.0, "sigma": 0.5},
+    "poisson": {"kind": "poisson", "lambda": 0.25},
+    "student_t": {"kind": "student_t", "nu": 5.0, "alpha": 0.3872983346207417},
+    "uniform": {"kind": "uniform", "a": -0.8660254037844386, "b": 0.8660254037844386},
+}
+
+
 def step_up(reflection: np.ndarray) -> np.ndarray:
     """Levinson step-up: reflection coefficients -> AR coefficients."""
     a = np.empty(0)

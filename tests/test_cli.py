@@ -10,11 +10,13 @@ import numpy as np
 import pytest
 
 import eobkit
+from conftest import INNOVATION_DOCS
 from eobkit import gradcheck
 from eobkit.cli import _fmt, _parse_experiment_config, main
 from eobkit.experiments import GridSpec, ModelSpec
-from eobkit.processes import calibrate_innovation, hybrid_spec_from_dict, innovation_to_dict
+from eobkit.processes import hybrid_spec_from_dict
 from test_experiments import tiny_grid
+from test_gradcheck import nan_gradient
 
 
 def run_cli(*argv) -> int:
@@ -291,7 +293,7 @@ class TestProcessSpecFields:
     def test_rejected_by_name(self, command, kind, key, bad, tmp_path, capsys):
         ar, det = json.loads(json.dumps(AR_SPEC)), dict(PROCESS_SPEC["det"])
         if kind not in ("ar", "det"):
-            ar["innovation"] = innovation_to_dict(calibrate_innovation(kind, ar["sigma_eps2"]))
+            ar["innovation"] = dict(INNOVATION_DOCS[kind])
         section = {"ar": ar, "det": det}.get(kind, ar["innovation"])
         section[key] = [bad] if key in ("phi", "phases") else bad
         src = tmp_path / "spec.json"
@@ -367,8 +369,31 @@ class TestLossCheck:
         assert report["all_passed"] is True
         assert {c["name"] for c in report["checks"]} == {"temporal_l2", "freq_real_imag_l2"}
 
-    def test_unknown_loss_is_validation_error(self):
-        assert run_cli("loss-check", "--losses", "nonsense") == 1
+    @pytest.mark.parametrize("names,message", [
+        ("nonsense", "unknown loss case(s): ['nonsense']"),
+        ("temporal_l2,temporal_l2", "duplicate loss case(s): ['temporal_l2']"),
+        ("temporal_l2,", "empty loss case name in ['temporal_l2', '']"),
+        ("", "empty loss case name in ['']")])
+    def test_bad_losses_exit_1_naming_the_problem(self, names, message, capsys, tmp_path):
+        out = tmp_path / "report.json"
+        assert run_cli("loss-check", "--losses", names, "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        assert not out.exists()
+
+    def test_nan_gradient_exits_2_with_a_null_error(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(gradcheck, "LOSS_CASES", tuple(
+            nan_gradient(c, 8, 0) if c.name == "temporal_l2" else c for c in gradcheck.LOSS_CASES))
+        out = tmp_path / "report.json"
+        assert run_cli("loss-check", "--losses", "temporal_l2,temporal_l1", "--instances", "4",
+                       "--lengths", "8,32", "--out", str(out)) == 2
+        report = json.loads(out.read_text())
+        assert report["all_passed"] is False
+        nan_case, other = report["checks"]
+        assert nan_case == {"name": "temporal_l2", "tolerance": gradcheck.SMOOTH_TOL,
+                            "max_rel_err": None, "instances": 4, "passed": False}
+        assert other["passed"] is True and other["max_rel_err"] < gradcheck.KINKED_TOL
 
 
 class TestLossCheckLengths:

@@ -69,17 +69,21 @@ class TestTrainModel:
         result = train_model(spec, X, Y, TrainConfig(max_epochs=1), seed=3)
         assert result.grad_check_err < 1e-4
 
-    def test_wrong_backprop_raises(self, rng, monkeypatch):
+    # W is checked first and b last: a NaN error must fail the check from either
+    @pytest.mark.parametrize("name,factor,err", [("W", 1.01, "max rel err"),
+                                                 ("W", np.nan, "max rel err nan"),
+                                                 ("b", np.nan, "max rel err nan")])
+    def test_wrong_backprop_raises(self, name, factor, err, rng, monkeypatch):
         X, Y = rng.normal(size=(64, 6)), rng.normal(size=(64, 3))
         backward = LinearModel._backward
 
-        def off_by_one_percent(self, cache, d_pred):
+        def scaled(self, cache, d_pred):
             grads = backward(self, cache, d_pred)
-            return {**grads, "W": 1.01 * grads["W"]}
+            return {**grads, name: factor * grads[name]}
 
-        monkeypatch.setattr(LinearModel, "_backward", off_by_one_percent)
+        monkeypatch.setattr(LinearModel, "_backward", scaled)
         spec = ModelSpec(kind="linear")
-        with pytest.raises(GradientCheckError, match="max rel err"):
+        with pytest.raises(GradientCheckError, match=err):
             train_model(spec, X, Y, TrainConfig(max_epochs=1), seed=3)
 
     def test_validation_pass_runs_no_pullback(self, rng, monkeypatch):

@@ -1,11 +1,12 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eobkit import gradcheck
+from eobkit import gradcheck, losses
 from eobkit.processes import make_rng
 
 
@@ -140,6 +141,36 @@ class TestBatchedSuite:
         # 1 + ceil(20 / 256) + 1 + ceil(20 / 16) + 1 + 20 calls per case
         assert len(calls) == 26 * len(gradcheck.LOSS_CASES)
         assert max(np.prod(shape) for _, shape in calls) == gradcheck.PROBE_VALUES_PER_CALL
+
+
+def nan_gradient(case: gradcheck.GradCase, L: int, row: int) -> gradcheck.GradCase:
+    """The case with its analytic gradient NaN in one row of the (n, L) block at length L."""
+    def loss(x, x_hat, *mags):
+        out = case.loss(x, x_hat, *mags)
+        if x_hat.ndim != 2 or x_hat.shape[-1] != L:
+            return out
+        grad = out.grad_wrt_prediction.copy()
+        grad[row] = np.nan
+        return losses.LossEval(value=out.value, _grad_fn=lambda: grad)
+    return dataclasses.replace(case, loss=loss)
+
+
+class TestNanGradient:
+    """A NaN error wins the maximum wherever it falls, and fails its case."""
+
+    # L = 128 scores each instance in its own block: rows 0 and 1 are its first and last
+    @pytest.mark.parametrize("lengths,L,row", [((128,), 128, 0), ((128,), 128, 1),
+                                               ((8, 32), 8, 0), ((8, 32), 32, 1)])
+    def test_fails_its_case(self, lengths, L, row, monkeypatch):
+        monkeypatch.setattr(gradcheck, "LOSS_CASES", tuple(
+            nan_gradient(c, L, row) if c.name == "temporal_l2" else c for c in gradcheck.LOSS_CASES))
+        nan_case, other = gradcheck.run_gradient_suite(
+            lengths=lengths, instances=2 * len(lengths), names=("temporal_l2", "temporal_l1"))
+        assert math.isnan(nan_case.max_rel_err) and not nan_case.passed
+        assert nan_case.to_dict() == {"name": "temporal_l2", "tolerance": gradcheck.SMOOTH_TOL,
+                                      "max_rel_err": None, "instances": 2 * len(lengths),
+                                      "passed": False}
+        assert other.passed
 
 
 @pytest.mark.parametrize("L", [7, 8, 128])

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -8,11 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import signal
 
-from conftest import step_up
+from conftest import INNOVATION_DOCS, step_up
 from eobkit.processes import (_AR_BLOCK, ARSpec, Binomial, DeterministicSpec, Gaussian,
                               Geometric, HybridSpec, NonStationaryError, Poisson, StudentT,
                               Uniform, calibrate_innovation, default_burn_in,
-                              hybrid_spec_from_dict, hybrid_spec_to_dict, psi_weights,
+                              hybrid_spec_from_dict, psi_weights,
                               reflection_coefficients, sample_innovation, simulate_ar,
                               synthesize_deterministic, synthesize_hybrid)
 
@@ -290,47 +291,59 @@ class TestHybrid:
                                   synthesize_hybrid(spec, seed=14))
 
 
+# README's process spec
+README_SPEC = """{
+  "ar": {"c": 0.0, "phi": [0.6],
+         "innovation": {"kind": "gaussian", "mu": 0.0, "sigma": 0.5},
+         "sigma_eps2": 0.25},
+  "det": {"K": 2, "base_amplitude": 1.5, "freqs": [2, 7],
+          "phases": [0.3, 1.1], "period": 128},
+  "length": 5000
+}"""
+
+
 class TestJsonSchema:
+    def doc(self) -> dict:
+        return json.loads(README_SPEC)
+
     def spec(self) -> HybridSpec:
         det = DeterministicSpec(base_amplitude=1.5, freqs=(2, 7), phases=(0.3, 1.1),
                                 period=128)
         ar = ARSpec(c=0.0, phi=(0.6,), innovation=Gaussian(mu=0.0, sigma=0.5),
                     sigma_eps2=0.25)
-        return HybridSpec(ar=ar, det=det, length=1000)
+        return HybridSpec(ar=ar, det=det, length=5000)
 
-    def test_round_trip(self):
-        spec = self.spec()
-        again = hybrid_spec_from_dict(json.loads(json.dumps(hybrid_spec_to_dict(spec))))
-        assert again == spec
+    def test_readme_document_builds_the_spec(self):
+        assert hybrid_spec_from_dict(self.doc()) == self.spec()
 
-    def test_field_names(self):
-        obj = hybrid_spec_to_dict(self.spec())
-        assert set(obj) == {"ar", "det", "length"}
-        assert set(obj["ar"]) == {"c", "phi", "innovation", "sigma_eps2"}
-        assert obj["ar"]["innovation"] == {"kind": "gaussian", "mu": 0.0, "sigma": 0.5}
-        assert set(obj["det"]) == {"K", "base_amplitude", "freqs", "phases", "period"}
+    @pytest.mark.parametrize("kind", FAMILIES)
+    def test_innovation_documents(self, kind):
+        obj = self.doc()
+        obj["ar"]["innovation"] = INNOVATION_DOCS[kind]
+        dist, calibrated = hybrid_spec_from_dict(obj).ar.innovation, calibrate_innovation(kind, 0.25)
+        assert type(dist) is type(calibrated)
+        assert dataclasses.astuple(dist) == pytest.approx(dataclasses.astuple(calibrated), rel=1e-15)
 
     def test_unknown_fields_rejected(self):
-        obj = hybrid_spec_to_dict(self.spec())
+        obj = self.doc()
         obj["extra"] = 1
         with pytest.raises(ValueError, match="unknown"):
             hybrid_spec_from_dict(obj)
-        obj = hybrid_spec_to_dict(self.spec())
+        obj = self.doc()
         obj["ar"]["bogus"] = 2
         with pytest.raises(ValueError, match="bogus"):
             hybrid_spec_from_dict(obj)
 
     def test_poisson_lambda_key(self):
-        ar = ARSpec(c=0.0, phi=(), innovation=Poisson(lam=0.25), sigma_eps2=0.25)
-        obj = hybrid_spec_to_dict(HybridSpec(ar=ar, det=None, length=10))
-        assert obj["ar"]["innovation"] == {"kind": "poisson", "lambda": 0.25}
+        obj = self.doc()
+        obj["ar"]["innovation"] = {"kind": "poisson", "lambda": 0.25}
         assert hybrid_spec_from_dict(obj).ar.innovation == Poisson(lam=0.25)
         obj["ar"]["innovation"] = {"kind": "poisson", "lam": 0.25}
         with pytest.raises(ValueError, match=r"unknown field\(s\) in innovation\[poisson\]"):
             hybrid_spec_from_dict(obj)
 
     def test_numbers_are_cast_as_before(self):
-        obj = hybrid_spec_to_dict(self.spec())
+        obj = self.doc()
         obj["length"] = 1000.0
         obj["det"]["period"] = 128.0
         obj["ar"]["c"] = 0
@@ -342,8 +355,7 @@ class TestJsonSchema:
         assert type(spec.ar.innovation.n) is int
 
     def test_det_k_is_optional_and_checked(self):
-        obj = hybrid_spec_to_dict(self.spec())
-        assert obj["det"]["K"] == 2
+        obj = self.doc()
         with_k = hybrid_spec_from_dict(obj)
         del obj["det"]["K"]
         assert hybrid_spec_from_dict(obj) == with_k == self.spec()
@@ -352,7 +364,7 @@ class TestJsonSchema:
             hybrid_spec_from_dict(obj)
 
     def test_det_absent_or_null_means_none(self):
-        obj = hybrid_spec_to_dict(self.spec())
+        obj = self.doc()
         del obj["det"]
         spec = hybrid_spec_from_dict(obj)
         assert spec.det is None
@@ -361,7 +373,7 @@ class TestJsonSchema:
     @pytest.mark.parametrize("section,drop", [("process spec", "length"), ("ar", "sigma_eps2"),
                                               ("det", "phases"), ("innovation[gaussian]", "mu")])
     def test_missing_field_rejected(self, section, drop):
-        obj = hybrid_spec_to_dict(self.spec())
+        obj = self.doc()
         where = {"process spec": obj, "ar": obj["ar"], "det": obj["det"],
                  "innovation[gaussian]": obj["ar"]["innovation"]}[section]
         del where[drop]
@@ -370,7 +382,7 @@ class TestJsonSchema:
             hybrid_spec_from_dict(obj)
 
     def test_innovation_kind_required(self):
-        obj = hybrid_spec_to_dict(self.spec())
+        obj = self.doc()
         del obj["ar"]["innovation"]["kind"]
         with pytest.raises(ValueError, match="innovation kind must be one of"):
             hybrid_spec_from_dict(obj)
