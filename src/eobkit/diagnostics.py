@@ -77,14 +77,14 @@ class SurfacePoint:
             raise ValueError("surface point metrics must be non-negative")
 
 
-def sliding_windows(series: np.ndarray, window: int, stride: int = 1) -> np.ndarray:
-    """Stack stride-1 (by default) windows of the series as matrix rows."""
+def sliding_windows(series: np.ndarray, window: int) -> np.ndarray:
+    """Stack the stride-1 windows of the series as matrix rows."""
     series = np.asarray(series, dtype=float)
-    if window < 1 or stride < 1:
-        raise ValueError(f"window and stride must be >= 1, got {window} and {stride}")
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
     if series.shape[0] < window:
         raise ValueError(f"series of length {series.shape[0]} has no windows of length {window}")
-    return np.lib.stride_tricks.sliding_window_view(series, window)[::stride].copy()
+    return np.lib.stride_tricks.sliding_window_view(series, window).copy()
 
 
 def sample_correlation(windows: np.ndarray) -> CorrMatrix:
@@ -99,6 +99,8 @@ def sample_correlation(windows: np.ndarray) -> CorrMatrix:
     n, L = w.shape
     if n < 2:
         raise ValueError(f"need at least 2 samples to estimate correlation, got {n}")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("windows must be finite (found nan or inf)")
     centered = w - w.mean(axis=0)
     std = centered.std(axis=0)
     dead = std == 0.0
@@ -172,7 +174,7 @@ def spearman_mean(windows: np.ndarray) -> float:
     if n < 3:
         raise ValueError(f"need at least 3 samples for rank correlation, got {n}")
     if not np.all(np.isfinite(w)):
-        raise ValueError("windows must be finite to be ranked (found nan or inf)")
+        raise ValueError("windows must be finite (found nan or inf)")
     rho = _rank_correlation(w)
     abs_sum = float(np.sum(np.abs(rho))) - float(np.sum(np.abs(np.diag(rho))))
     return abs_sum / (L**2 - L)

@@ -182,9 +182,6 @@ class _Model:
     def clone_params(self) -> dict[str, np.ndarray]:
         return {k: v.copy() for k, v in self.params.items()}
 
-    def set_params(self, params: dict[str, np.ndarray]) -> None:
-        self.params = {k: v.copy() for k, v in params.items()}
-
 
 class LinearModel(_Model):
     def _init_params(self, rng: np.random.Generator, n_in: int, n_out: int) -> dict:
@@ -408,7 +405,7 @@ def train_model(spec: ModelSpec, X: np.ndarray, Y: np.ndarray, cfg: TrainConfig,
             if stale >= cfg.patience:
                 break
 
-    model.set_params(best_params)
+    model.params = best_params  # a private copy from clone_params
     return TrainResult(model=model, train_curve=train_curve, val_curve=val_curve,
                        epochs_run=epoch, best_epoch=best_epoch, grad_check_err=check_err)
 
@@ -639,17 +636,15 @@ def insight_experiment(K: int = 3, fmax: int = 15, n: int = 3072,
     det = DeterministicSpec(base_amplitude=math.sqrt(2.0), freqs=freqs, phases=phases,
                             period=horizon)
     series = synthesize_deterministic(det, n)
-
-    train_series, test_series = chronological_split(series, cfg_temporal.split)
-    X_tr, Y_tr = make_window_pairs(train_series, history, horizon)
-    X_te, Y_te = make_window_pairs(test_series, history, horizon)
-
     tone_bins = tuple(sorted({k for f in freqs for k in (f, horizon - f)}))
 
     leakage: dict[str, float] = {}
     amp_err: dict[str, float] = {}
     dominant: dict[str, int] = {}
     for name, cfg in (("temporal", cfg_temporal), ("harmonized", cfg_harmonized)):
+        train_series, test_series = chronological_split(series, cfg.split)
+        X_tr, Y_tr = make_window_pairs(train_series, history, horizon)
+        X_te, Y_te = make_window_pairs(test_series, history, horizon)
         result = train_model(model, X_tr, Y_tr, cfg, seed=seed + 1)
         pred = result.model.predict(X_te)
         leak, gap = leakage_metrics(pred, Y_te, tone_bins)

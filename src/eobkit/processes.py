@@ -427,11 +427,6 @@ class HybridSpec:
         if self.length < 0:
             raise ValueError(f"length must be >= 0, got {self.length}")
 
-    def ssnr_v(self) -> float:
-        if self.det is None:
-            return 0.0
-        return self.det.variance / self.ar.sigma_eps2
-
 
 # ---------------------------------------------------------------------------
 # Generators

@@ -16,9 +16,11 @@ The two agree exactly through the determinant decomposition
 det(R) = det(R_p) * SSNR^{-(T-p)}, and det(R)^{1/T} -> 1/SSNR as T grows
 (Szegő limit). All logarithms are natural, so values are in nats.
 
-`eob_mgm` and `verify_determinant_decomposition` read log det(R) from the dense Cholesky
-factor that validates a `CorrMatrix`, the independent check of the one Levinson recursion
-(`_levinson`) behind Yule-Walker, the autocorrelations and the Szegő curve.
+One Levinson recursion (`_levinson`) gives Yule-Walker, the autocorrelations, the
+Szegő curve and the closed form, whose SSNR = 1 / v_p and transient
+-1/2 * sum_{k<p} log v_k it reads from the prediction variances v_k without building a
+matrix. `eob_mgm` and `verify_determinant_decomposition` read log det(R) from the dense
+Cholesky factor that validates a `CorrMatrix`, the independent check of every v_k.
 """
 
 from __future__ import annotations
@@ -96,7 +98,6 @@ class CorrMatrix:
         if np.max(np.abs(values - values.T)) > 1e-12:
             raise ValueError("correlation matrix must be symmetric")
         values = 0.5 * (values + values.T)
-        np.fill_diagonal(values, 1.0)
         values.flags.writeable = False
         try:
             object.__setattr__(self, "_chol", np.linalg.cholesky(values))
@@ -205,10 +206,11 @@ def _toeplitz(rho: np.ndarray) -> np.ndarray:
     """Symmetric Toeplitz matrix R_ij = rho_{|i-j|}.
 
     Row i is the length-n window of (rho_{n-1}, ..., rho_1, rho_0, ..., rho_{n-1})
-    that starts at n-1-i: the windows of a sliding view in reverse order, copied.
+    that starts at n-1-i: the windows of a sliding view in reverse order. The result
+    is that read-only view; `CorrMatrix` makes the one copy.
     """
     mirrored = np.concatenate([rho[:0:-1], rho])
-    return np.lib.stride_tricks.sliding_window_view(mirrored, rho.size)[::-1].copy()
+    return np.lib.stride_tricks.sliding_window_view(mirrored, rho.size)[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -218,18 +220,18 @@ def _toeplitz(rho: np.ndarray) -> np.ndarray:
 def eob_ar_closed_form(spec: ARSpec, T: int) -> EobReport:
     """Closed-form bias: (T-p)/2 * log(SSNR) plus the transient constant.
 
-    The transient constant is -1/2 * log det(R_p), the contribution of the
-    first p observations; the total equals -1/2 * log det(R) exactly.
+    The transient constant is -1/2 * log det(R_p) = -1/2 * sum_{k<p} log v_k, the
+    contribution of the first p observations; SSNR = 1 / v_p. Both come from one
+    Levinson pass over the reflection coefficients; no matrix is built. The total
+    equals -1/2 * log det(R) exactly.
     """
     if T <= spec.p:
         raise ValueError(f"T must exceed the AR order p={spec.p}, got T={T}")
-    yw = solve_yule_walker(spec)
-    steady = 0.5 * (T - spec.p) * math.log(yw.ssnr)
-    if spec.p == 0:
-        transient = 0.0
-    else:
-        transient = -0.5 * corr_matrix_from_ar(spec, spec.p).log_det() + 0.0
-    return EobReport(value_nats=steady + transient, ssnr=yw.ssnr, T=T, p=spec.p,
+    v = _levinson((1.0,), reflection_coefficients(spec.phi), spec.p + 1)[1]
+    ssnr = 1.0 / float(v[spec.p])
+    steady = 0.5 * (T - spec.p) * math.log(ssnr)
+    transient = -0.5 * float(np.sum(np.log(v[:spec.p]))) + 0.0  # -0.0 -> 0.0 at p <= 1
+    return EobReport(value_nats=steady + transient, ssnr=ssnr, T=T, p=spec.p,
                      steady_term=steady, transient_term=transient,
                      method="ar_closed_form")
 

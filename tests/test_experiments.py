@@ -315,6 +315,28 @@ class TestInsight:
                                         max_epochs=40, check_gradients=False))
         assert report.dominant_bin["harmonized"] == report.tone_freqs[0]
 
+    def test_each_arm_windows_its_own_split(self, monkeypatch):
+        rows = {"train": [], "test": []}
+
+        def train_recorder(spec, X, Y, cfg, seed=None):
+            rows["train"].append(X.shape[0])
+            return train_model(spec, X, Y, cfg, seed=seed)
+
+        def leakage_recorder(pred, truth, tone_bins):
+            rows["test"].append(truth.shape[0])
+            return leakage_metrics(pred, truth, tone_bins)
+
+        monkeypatch.setattr(experiments, "train_model", train_recorder)
+        monkeypatch.setattr(experiments, "leakage_metrics", leakage_recorder)
+        insight_experiment(K=1, fmax=5, n=1024, history=32, horizon=32,
+                           cfg_temporal=TrainConfig(loss=LossSpec(kind="temporal", norm="l2"),
+                                                    max_epochs=1, check_gradients=False),
+                           cfg_harmonized=TrainConfig(loss=LossSpec(kind="harmonized", norm="l1"),
+                                                      max_epochs=1, check_gradients=False,
+                                                      split=0.5))
+        # cut = round(1024 * split); a part of length m holds m - 64 + 1 windows
+        assert rows == {"train": [717 - 63, 512 - 63], "test": [307 - 63, 512 - 63]}
+
     def test_validation(self):
         with pytest.raises(ValueError, match="fmax"):
             insight_experiment(K=3, fmax=40, n=512, horizon=64)

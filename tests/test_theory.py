@@ -193,6 +193,30 @@ class TestClosedForm:
         with pytest.raises(ValueError, match="exceed"):
             eob_ar_closed_form(ar([0.5, 0.2]), 2)
 
+    def test_builds_and_factors_no_matrix(self, rng, monkeypatch):
+        calls = {"cholesky": 0}
+
+        def counted(*args, _real=np.linalg.cholesky, **kwargs):
+            calls["cholesky"] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        monkeypatch.setattr(CorrMatrix, "__post_init__",
+                            lambda self: pytest.fail("CorrMatrix built"))
+        for p in range(7):
+            eob_ar_closed_form(random_stationary_spec(rng, p), 16)
+        assert calls == {"cholesky": 0}
+
+    @given(reflection=st.lists(st.floats(-0.75, 0.75), max_size=8))
+    @settings(deadline=None, max_examples=100)
+    def test_transient_matches_dense_slogdet(self, reflection):
+        spec = ar(step_up(np.asarray(reflection)))
+        report = eob_ar_closed_form(spec, spec.p + 1)
+        R_p = linalg.toeplitz(autocorrelations(spec, spec.p)[:spec.p])
+        sign, log_det = np.linalg.slogdet(R_p)
+        assert sign > 0
+        # abs: a transient of a few ulps of 1 (kappa_1..kappa_{p-1} near 0) has no relative digits
+        assert report.transient_term == pytest.approx(-0.5 * log_det, rel=1e-12, abs=1e-14)
+
     def test_monotone_in_T(self):
         values = [eob_ar_closed_form(ar([0.6]), T).value_nats for T in range(2, 30)]
         assert all(b > a for a, b in zip(values, values[1:]))
