@@ -491,15 +491,19 @@ def run_grid(grid: GridSpec, model: ModelSpec, cfg: TrainConfig,
 
     Each cell owns an RNG sub-stream keyed by its index, so the output is
     identical whatever the worker count. Cell failures are recorded and the
-    sweep continues. A DWT loss whose 2^levels does not divide a horizon, or a
-    split of series_length too short for two training windows or one test
-    window of history + horizon samples, fails up front.
+    sweep continues. A worker count below 1, a DWT loss whose 2^levels does not
+    divide a horizon, or a split of series_length too short for two training
+    windows or one test window of history + horizon samples, fails up front.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     if cfg.loss.kind == "harmonized" and cfg.loss.transform == "dwt":
         for horizon in grid.horizons:
-            if (horizon >> cfg.loss.levels) << cfg.loss.levels != horizon:
-                raise ValueError(f"a DWT loss with levels={cfg.loss.levels} needs horizons "
-                                 f"divisible by 2^{cfg.loss.levels}, got horizon {horizon}")
+            try:
+                transforms._check_dwt(cfg.loss.wavelet, cfg.loss.levels, (horizon,))
+            except ValueError as exc:
+                raise ValueError(f"a DWT loss with levels={cfg.loss.levels} cannot read "
+                                 f"horizon {horizon}: {exc}") from None
     window = grid.history + max(grid.horizons)
     train, test = (len(part) for part in chronological_split(np.empty(grid.series_length),
                                                              cfg.split))

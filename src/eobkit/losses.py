@@ -151,11 +151,7 @@ class HarmonizedConfig:
             raise ValueError(f"norm must be 'l1' or 'l2', got {self.norm!r}")
         if self.transform not in ("dft", "dwt", "identity"):
             raise ValueError(f"transform must be dft, dwt or identity, got {self.transform!r}")
-        if self.wavelet not in transforms.WAVELET_FILTERS:
-            raise ValueError(f"wavelet must be one of {sorted(transforms.WAVELET_FILTERS)}, "
-                             f"got {self.wavelet!r}")
-        if self.levels < 1:
-            raise ValueError(f"levels must be >= 1, got {self.levels}")
+        transforms._check_dwt(self.wavelet, self.levels)
         if self.gamma < 0.0:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
         if self.eps <= 0.0:
@@ -179,9 +175,7 @@ def _check_lengths(x: np.ndarray, x_hat: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 def _forward_coeffs(x: np.ndarray, transform: str, wavelet: str, levels: int) -> np.ndarray:
-    """Coefficients of x under the transform: complex for dft, real otherwise."""
-    if transform == "dft":
-        return transforms.dft_forward(x)
+    """Coefficients of x under a real orthogonal transform (dwt or identity)."""
     if transform == "dwt":
         return transforms._dwt_analysis(x, wavelet, levels)
     if transform == "identity":
@@ -189,10 +183,8 @@ def _forward_coeffs(x: np.ndarray, transform: str, wavelet: str, levels: int) ->
     raise ValueError(f"transform must be dft, dwt or identity, got {transform!r}")
 
 
-def _pullback(g: np.ndarray, L: int, transform: str, wavelet: str, levels: int) -> np.ndarray:
-    """Temporal gradient of length L from a coefficient gradient (a half spectrum for dft)."""
-    if transform == "dft":
-        return transforms._rdft_synthesis(g, L)
+def _pullback(g: np.ndarray, transform: str, wavelet: str, levels: int) -> np.ndarray:
+    """Temporal gradient from a coefficient gradient: the adjoint of _forward_coeffs."""
     if transform == "dwt":
         return transforms._dwt_synthesis(g, wavelet, levels)
     return g
@@ -200,8 +192,10 @@ def _pullback(g: np.ndarray, L: int, transform: str, wavelet: str, levels: int) 
 
 def coefficient_magnitudes(x: np.ndarray, cfg: HarmonizedConfig) -> np.ndarray:
     """Per-bin magnitudes |f_k| of x under cfg.transform (complex modulus for dft)."""
-    return np.abs(_forward_coeffs(np.asarray(x, dtype=float), cfg.transform, cfg.wavelet,
-                                  cfg.levels))
+    x = np.asarray(x, dtype=float)
+    if cfg.transform == "dft":
+        return np.abs(transforms.dft_forward(x))
+    return np.abs(_forward_coeffs(x, cfg.transform, cfg.wavelet, cfg.levels))
 
 
 def _coefficient_loss(x: np.ndarray, x_hat: np.ndarray, weights: float | np.ndarray,
@@ -242,7 +236,9 @@ def _coefficient_loss(x: np.ndarray, x_hat: np.ndarray, weights: float | np.ndar
             g = -weights * (np.sign(d.real) + 1j * np.sign(d.imag))
         else:
             g = -weights * np.sign(d)
-        return _pullback(g, L, transform, wavelet, levels)
+        if transform == "dft":
+            return transforms._rdft_synthesis(g, L)
+        return _pullback(g, transform, wavelet, levels)
 
     return LossEval(value=np.sum(value_weights * pen, axis=-1), _grad_fn=grad)
 

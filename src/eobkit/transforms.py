@@ -11,9 +11,9 @@ real residuals and pull gradients back with its adjoint, `_rdft_synthesis`.
 The DWT is the pyramidal filter-bank scheme with periodic boundary
 extension, which keeps the analysis matrix W strictly orthogonal
 (W^T W = I) at every level, so synthesis is plain transposition and
-round-trips are exact to rounding. Window-length inputs (L <= 256) go
-through a cached orthogonal L x L matrix, and long series through the O(L)
-filter bank.
+round-trips are exact to rounding; one rule, `_check_dwt`, says what it
+accepts. Window lengths (L <= 256) are multiplied on their last axis by a
+cached orthogonal L x L matrix, long series go through the O(L) filter bank.
 
 Spectral truncation keeps the first `keep` DFT bins as a compact
 optimization target: it returns the zero-filled spectrum, which is exactly
@@ -124,10 +124,20 @@ WAVELET_FILTERS = {
 }
 
 
+def _check_dwt(wavelet: object, levels: int, shape: tuple[int, ...] | None = None) -> None:
+    """The DWT's one rule: a known wavelet name, levels >= 1 and, for a shape, a last
+    axis of positive length divisible by 2^levels. Every path to _filters passes it."""
+    if not (isinstance(wavelet, str) and wavelet in WAVELET_FILTERS):
+        raise ValueError(f"wavelet must be one of {sorted(WAVELET_FILTERS)}, got {wavelet!r}")
+    if levels < 1:
+        raise ValueError(f"levels must be >= 1, got {levels}")
+    if shape is not None and (not shape or shape[-1] < 1 or shape[-1] % (1 << levels)):
+        raise ValueError(f"shape {shape} must end in a positive length divisible by "
+                         f"2^levels = {1 << levels}")
+
+
 @functools.lru_cache(maxsize=None)
 def _filters(wavelet: str) -> tuple[np.ndarray, np.ndarray]:
-    if wavelet not in WAVELET_FILTERS:
-        raise ValueError(f"unknown wavelet {wavelet!r}; expected one of {sorted(WAVELET_FILTERS)}")
     h = WAVELET_FILTERS[wavelet]
     g = (h[::-1] * np.where(np.arange(h.size) % 2 == 0, 1.0, -1.0))
     return h, g
@@ -145,11 +155,7 @@ class WaveletCoeffs:
         coeffs = np.array(self.coeffs, dtype=float)
         coeffs.flags.writeable = False
         object.__setattr__(self, "coeffs", coeffs)
-        if self.levels < 1:
-            raise ValueError(f"levels must be >= 1, got {self.levels}")
-        if coeffs.ndim < 1 or coeffs.shape[-1] < 1 or coeffs.shape[-1] % (1 << self.levels):
-            raise ValueError(f"coefficient shape {coeffs.shape} must end in a positive length "
-                             f"divisible by 2^{self.levels}")
+        _check_dwt(self.wavelet, self.levels, coeffs.shape)
 
     @classmethod
     def _wrap(cls, coeffs: np.ndarray, levels: int, wavelet: str) -> "WaveletCoeffs":
@@ -248,17 +254,10 @@ def _dwt_analysis(x: np.ndarray, wavelet: str, levels: int) -> np.ndarray:
     """Coefficients of the last axis of (..., L) as a fresh read-only array: one cached
     matrix product for window lengths, the O(L)-per-level filter bank for long series."""
     x = np.asarray(x, dtype=float)
-    if levels < 1:
-        raise ValueError(f"levels must be >= 1, got {levels}")
-    if x.ndim < 1 or x.shape[-1] < 1 or x.shape[-1] % (1 << levels):
-        raise ValueError(
-            f"input shape {x.shape} must end in a positive length divisible by 2^{levels}; "
-            f"pad the input (see pad_edge_pow2) or reduce the level count")
+    _check_dwt(wavelet, levels, x.shape)
     L = x.shape[-1]
-    if L <= _DENSE_MAX_LENGTH:
-        coeffs = (x.reshape(-1, L) @ _dwt_operator(L, wavelet, levels)).reshape(x.shape)
-    else:
-        coeffs = _filter_bank_forward(x, wavelet, levels)
+    coeffs = (x @ _dwt_operator(L, wavelet, levels) if L <= _DENSE_MAX_LENGTH
+              else _filter_bank_forward(x, wavelet, levels))
     coeffs.flags.writeable = False
     return coeffs
 
@@ -268,8 +267,7 @@ def _dwt_synthesis(coeffs: np.ndarray, wavelet: str, levels: int) -> np.ndarray:
     the orthogonal analysis, shaped like coeffs."""
     L = coeffs.shape[-1]
     if L <= _DENSE_MAX_LENGTH:
-        op = _dwt_operator(L, wavelet, levels)
-        return (coeffs.reshape(-1, L) @ op.T).reshape(coeffs.shape)
+        return coeffs @ _dwt_operator(L, wavelet, levels).T
     return _filter_bank_inverse(coeffs, wavelet, levels)
 
 

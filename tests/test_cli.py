@@ -312,6 +312,7 @@ class TestLossConfigAtParse:
 
     @pytest.mark.parametrize("key,bad,grid", [
         ("transform", "fft", {}), ("gamma", -1, {}), ("eps", 0, {}), ("wavelet", "db4", {}),
+        ("wavelet", ["db2"], {}), ("wavelet", {"a": 1}, {}),
         ("levels", 0, {}), ("levels", 7, {"horizons": [64]}),
     ])
     def test_simulate_rejects_bad_loss_value(self, key, bad, grid, tmp_path, capsys):
@@ -436,6 +437,16 @@ def grid_config_file(tmp_path):
 
 class TestSimulate:
     HEADER = "ssnr_x,horizon,replication,mse_actual,mse_relative,mse_opt_rel,inefficiency"
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_fewer_than_one_worker_rejected(self, jobs, grid_config_file, tmp_path, capsys):
+        out = tmp_path / "grid.csv"
+        assert run_cli("simulate", "--grid", grid_config_file, "--jobs", jobs,
+                       "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "jobs" in captured.err
+        assert not out.exists()
 
     def test_csv_header_and_shape(self, grid_config_file, tmp_path):
         out = tmp_path / "surface.csv"

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eobkit import transforms
+from eobkit import experiments, transforms
+from eobkit.experiments import GridSpec, LossSpec, ModelSpec, TrainConfig, run_grid
+from eobkit.losses import EmaMagnitudes, HarmonizedConfig, harmonized_l2
 from eobkit.transforms import (WaveletCoeffs, dft_forward, dft_inverse, dwt_forward,
                                dwt_inverse, dwt_matrix, pad_edge_pow2, truncate_spectrum)
 
@@ -270,6 +272,37 @@ def test_constructor_still_checks_shapes(coeffs, levels):
     indivisible length is in TestBatchedDwt)."""
     with pytest.raises(ValueError, match="levels|positive length"):
         WaveletCoeffs(coeffs, levels, "haar")
+
+
+def _loss_on_window(wavelet, levels, length):
+    cfg = HarmonizedConfig(norm="l2", transform="dwt", wavelet=wavelet, levels=levels)
+    x = np.ones(length)
+    harmonized_l2(x, x, EmaMagnitudes.zeros(length, beta=0.3), cfg)
+
+
+def _grid_at_horizon(wavelet, levels, length):
+    loss = LossSpec(kind="harmonized", norm="l2", transform="dwt", wavelet=wavelet,
+                    levels=levels)
+    run_grid(GridSpec(horizons=(length,), history=16, series_length=800, replications=1),
+             ModelSpec(kind="linear"), TrainConfig(loss=loss, check_gradients=False))
+
+
+@pytest.mark.parametrize("entry", [
+    lambda wavelet, levels, length: dwt_forward(np.ones(length), wavelet, levels),
+    lambda wavelet, levels, length: WaveletCoeffs(np.ones(length), levels, wavelet),
+    _loss_on_window, _grid_at_horizon,
+], ids=["dwt_forward", "WaveletCoeffs", "HarmonizedConfig", "LossSpec"])
+@pytest.mark.parametrize("wavelet,levels,length,field", [
+    ("haar", 0, 8, "levels"), ("db4", 1, 8, "wavelet"), (["db2"], 1, 8, "wavelet"),
+    ({"a": 1}, 1, 8, "wavelet"), ("db2", 3, 12, r"divisible by 2\^levels"),
+], ids=["levels-0", "unknown-wavelet", "list-wavelet", "dict-wavelet", "indivisible"])
+def test_one_rule_at_every_entry_point(entry, wavelet, levels, length, field, monkeypatch):
+    """The DWT's rule rejects the same inputs wherever they enter, naming the field, and
+    WaveletCoeffs checks its wavelet when built; a config meets the length at its first
+    window (a loss call, or a grid's horizon)."""
+    monkeypatch.setattr(experiments, "_run_cell_safe", lambda task: pytest.fail("cell ran"))
+    with pytest.raises(ValueError, match=field):
+        entry(wavelet, levels, length)
 
 
 def test_long_series_build_no_operator(rng):
