@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import logging
 import math
 import os
+import platform
 import sys
 from dataclasses import asdict, astuple, fields, replace
 
@@ -28,6 +30,36 @@ from .processes import (ARSpec, ar_spec_from_dict, from_dict, hybrid_spec_from_d
 log = logging.getLogger("eobkit")
 
 SCHEMA_VERSION = 1
+
+# glibc's mallopt parameters, and the fixed values the CLI gives them (see _steady_heap)
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_TRIM_THRESHOLD = 8 << 20
+_MMAP_THRESHOLD = 4 << 20
+
+
+@functools.cache
+def _steady_heap() -> None:
+    """Fix glibc's heap thresholds for this process: blocks under 4 MB come from the heap,
+    and free heap is handed back to the kernel only past 8 MB.
+
+    glibc adapts both thresholds as blocks come and go, so the 100-300 kB temporaries of
+    a loss call can go back to the kernel after every call and fault their pages in again
+    on the next; fixed thresholds keep them in the heap. It is the CLI's choice as the
+    owner of the process, made once when `main` first runs and inherited by forked grid
+    workers; importing eobkit leaves the allocator alone. Any other libc, or a mallopt
+    that is missing or refuses a value, leaves the defaults.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return
+    import ctypes
+
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD):
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
 
 
 def _setup_logging() -> None:
@@ -340,6 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    _steady_heap()
     try:
         _setup_logging()
         parser = build_parser()

@@ -95,9 +95,7 @@ class CorrMatrix:
             raise ValueError("correlation matrix entries must be finite (found nan or inf)")
         if not np.array_equal(np.diag(values), np.ones(values.shape[0])):
             raise ValueError("correlation matrix diagonal must be exactly 1")
-        if np.max(np.abs(values - values.T)) > 1e-12:
-            raise ValueError("correlation matrix must be symmetric")
-        values = 0.5 * (values + values.T)
+        _symmetrize(values)
         values.flags.writeable = False
         try:
             object.__setattr__(self, "_chol", np.linalg.cholesky(values))
@@ -125,6 +123,32 @@ class CorrMatrix:
         if self._chol is None:
             raise NotPositiveDefiniteError(float(np.linalg.eigvalsh(self.values)[0]))
         return 2.0 * float(np.sum(np.log(np.diag(self._chol))))
+
+
+# side of the square tiles that _symmetrize compares with their mirror images
+_SYMMETRY_TILE = 64
+
+
+def _symmetrize(values: np.ndarray) -> None:
+    """Replace square `values` in place by 0.5 * (values + values.T), bit for bit, after
+    checking max |values - values.T| <= 1e-12.
+
+    One pass over tile pairs, upper against the transposed lower: a pair whose bits
+    already agree is its own mean and stays as it is; only the others are averaged. No
+    temporary is larger than a tile.
+    """
+    n = values.shape[0]
+    for i in range(0, n, _SYMMETRY_TILE):
+        for j in range(i, n, _SYMMETRY_TILE):
+            upper = values[i:i + _SYMMETRY_TILE, j:j + _SYMMETRY_TILE]
+            lower = values[j:j + _SYMMETRY_TILE, i:i + _SYMMETRY_TILE].T
+            if np.array_equal(upper.view(np.uint64), lower.view(np.uint64)):
+                continue
+            if np.max(np.abs(upper - lower)) > 1e-12:
+                raise ValueError("correlation matrix must be symmetric")
+            mean = 0.5 * (upper + lower)
+            upper[...] = mean
+            lower[...] = mean
 
 
 @dataclass(frozen=True)
@@ -265,13 +289,15 @@ def verify_determinant_decomposition(spec: ARSpec, T: int) -> float:
 
 
 def szego_convergence_curve(spec: ARSpec, T_values) -> list[tuple[int, float]]:
-    """(T, det(R)^{1/T}) pairs, tending to 1/SSNR. One O(T_max) Levinson pass over the
-    reflection coefficients, no matrix, gives log det(R_T) = sum_{k<T} log v_k."""
+    """(T, det(R)^{1/T}) pairs, tending to 1/SSNR. log det(R_T) = sum_{k<T} log v_k, read
+    from one Levinson pass over the reflection coefficients up to lag p, no matrix: past
+    lag p the prediction variance holds at v_p, so the pass stops there."""
     T_values = [int(T) for T in T_values]
     if min(T_values, default=1) < 1:
         raise ValueError(f"T must be >= 1, got {min(T_values)}")
-    v = _levinson((1.0,), reflection_coefficients(spec.phi), max(T_values, default=1))[1]
-    log_dets = np.cumsum(np.log(v))
+    n = max(T_values, default=1)
+    v = _levinson((1.0,), reflection_coefficients(spec.phi), min(n, spec.p + 1))[1]
+    log_dets = np.cumsum(np.log(np.concatenate([v, np.full(n - v.size, v[-1])])))
     return [(T, math.exp(log_dets[T - 1] / T)) for T in T_values]
 
 

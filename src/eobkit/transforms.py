@@ -252,7 +252,12 @@ def _dwt_operator(length: int, wavelet: str, levels: int) -> np.ndarray:
 
 def _dwt_analysis(x: np.ndarray, wavelet: str, levels: int) -> np.ndarray:
     """Coefficients of the last axis of (..., L) as a fresh read-only array: one cached
-    matrix product for window lengths, the O(L)-per-level filter bank for long series."""
+    matrix product for window lengths, the O(L)-per-level filter bank for long series.
+
+    Only the filter bank promises each row the arithmetic of its one-row call. The
+    dense product of a batch runs as a GEMM, whose multiply-adds run in another order
+    than the one-row GEMV, so its rows can differ from one-row calls in the last bits.
+    """
     x = np.asarray(x, dtype=float)
     _check_dwt(wavelet, levels, x.shape)
     L = x.shape[-1]

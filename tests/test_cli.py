@@ -1,7 +1,9 @@
+import ctypes
 import dataclasses
 import json
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -11,7 +13,7 @@ import pytest
 
 import eobkit
 from conftest import INNOVATION_DOCS
-from eobkit import gradcheck
+from eobkit import cli, gradcheck
 from eobkit.cli import _fmt, _parse_experiment_config, main
 from eobkit.experiments import GridSpec, ModelSpec
 from eobkit.processes import hybrid_spec_from_dict
@@ -613,3 +615,60 @@ class TestNumpyOnlyRuntime:
                           "print(json.dumps(codes))", json.dumps(argvs))
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout.strip().splitlines()[-1]) == [0] * len(argvs), proc.stderr
+
+
+class FakeMallopt:
+    """Stands in for glibc's mallopt: records its calls and returns `result`."""
+
+    def __init__(self, result: int):
+        self.result, self.calls = result, []
+
+    def __call__(self, param: int, value: int) -> int:
+        self.calls.append((param, value))
+        return self.result
+
+
+class TestSteadyHeap:
+    ARGV = ("loss-check", "--lengths", "128", "--instances", "14")
+
+    @pytest.fixture
+    def fresh_helper(self):
+        cli._steady_heap.cache_clear()
+        yield
+        cli._steady_heap.cache_clear()
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the policy is glibc's")
+    def test_repeated_loss_check_faults_few_pages(self, tmp_path):
+        # a fresh interpreter: a heap the earlier tests grew hides the faults
+        proc = run_python("import resource, sys\n"
+                          "from eobkit.cli import main\n"
+                          "assert main(sys.argv[1:]) == 0\n"
+                          "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+                          "assert main(sys.argv[1:]) == 0\n"
+                          "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)",
+                          *self.ARGV, "--out", str(tmp_path / "report.json"))
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 1000
+
+    @pytest.mark.parametrize("result,calls", [
+        (1, [(-3, 4 << 20), (-1, 8 << 20)]), (0, [(-3, 4 << 20)])])
+    def test_sets_fixed_thresholds_once(self, result, calls, monkeypatch, fresh_helper):
+        mallopt = FakeMallopt(result)
+        monkeypatch.setattr(platform, "libc_ver", lambda: ("glibc", "2.36"))
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: type("Libc", (), {"mallopt": mallopt}))
+        cli._steady_heap()
+        cli._steady_heap()
+        assert mallopt.calls == calls
+
+    @pytest.mark.parametrize("libc,library", [
+        (("glibc", "2.36"), type("Libc", (), {})), (("", ""), None)],
+        ids=["no-mallopt", "other-libc"])
+    def test_main_runs_the_same_without_the_policy(self, libc, library, monkeypatch,
+                                                   fresh_helper, tmp_path):
+        with_policy, without = tmp_path / "with.json", tmp_path / "without.json"
+        assert run_cli(*self.ARGV, "--out", str(with_policy)) == 0
+        cli._steady_heap.cache_clear()
+        monkeypatch.setattr(platform, "libc_ver", lambda: libc)
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: library)
+        assert run_cli(*self.ARGV, "--out", str(without)) == 0
+        assert without.read_bytes() == with_policy.read_bytes()

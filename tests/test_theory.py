@@ -175,6 +175,24 @@ class TestCorrMatrix:
             CorrMatrix(np.array([[1.0, 0.8, -0.8], [0.8, 1.0, 0.8], [-0.8, 0.8, 1.0]]))
         assert err.value.min_eigenvalue < -1e-10
 
+    def test_asymmetry_in_a_far_tile_is_rejected(self):
+        values = linalg.toeplitz(0.5 ** np.arange(300))
+        values[290, 3] += 2e-12
+        with pytest.raises(ValueError, match="correlation matrix must be symmetric"):
+            CorrMatrix(values)
+
+    @pytest.mark.parametrize("n", [1, 5, 64, 65, 200])
+    def test_asymmetry_within_tolerance_is_averaged_bitwise(self, n, rng):
+        values = linalg.toeplitz(0.5 ** np.arange(n))
+        noise = rng.uniform(-4e-13, 4e-13, size=(n, n))
+        noise[: n // 2, : n // 2] = 0.0  # these tiles stay bit-symmetric
+        np.fill_diagonal(noise, 0.0)
+        values += noise
+        expected = 0.5 * (values + values.T)
+        got = CorrMatrix(values).values
+        np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+        np.testing.assert_array_equal(got, got.T)
+
     def test_equality_compares_values(self):
         assert CorrMatrix.identity(2) == CorrMatrix.identity(2)
         assert CorrMatrix.identity(2) != CorrMatrix(np.array([[1.0, 0.5], [0.5, 1.0]]))
@@ -355,6 +373,15 @@ class TestSzego:
             for T, value in szego_convergence_curve(spec, T_values):
                 dense = corr_matrix_from_ar(spec, T).log_det()
                 assert T * math.log(value) == pytest.approx(dense, rel=1e-10, abs=1e-10)
+
+    @pytest.mark.parametrize("p", range(7))
+    def test_pass_to_the_order_equals_the_full_length_pass(self, p, rng):
+        spec = random_stationary_spec(rng, p)
+        v = theory._levinson((1.0,), reflection_coefficients(spec.phi), 4096)[1]
+        log_dets = np.cumsum(np.log(v))
+        for T_values in (range(1, 4097), range(1, p + 1), [p + 1], [4096, 3, 2048]):
+            assert szego_convergence_curve(spec, T_values) == [
+                (T, math.exp(log_dets[T - 1] / T)) for T in T_values]
 
     def test_window_lengths(self):
         assert szego_convergence_curve(ar([0.5]), []) == []

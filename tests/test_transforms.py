@@ -126,6 +126,20 @@ class TestBatchedDwt:
         assert all(block.shape[:-1] == batch for block in w.blocks().values())
 
     @pytest.mark.parametrize("wavelet", ["haar", "db2"])
+    @pytest.mark.parametrize("levels", [1, 2, 3])
+    def test_filter_bank_rows_equal_single_calls_bitwise(self, wavelet, levels, rng):
+        """Past the dense crossover, each row of a batch gets the arithmetic of its
+        one-row call, forward and inverse (the dense product does not promise this)."""
+        X = rng.normal(size=(64, 512))
+        assert X.shape[-1] > transforms._DENSE_MAX_LENGTH
+        w = dwt_forward(X, wavelet, levels)
+        back = dwt_inverse(w)
+        for i in range(X.shape[0]):
+            row = dwt_forward(X[i], wavelet, levels)
+            np.testing.assert_array_equal(w.coeffs[i], row.coeffs)
+            np.testing.assert_array_equal(back[i], dwt_inverse(row))
+
+    @pytest.mark.parametrize("wavelet", ["haar", "db2"])
     def test_adjoint_identity(self, wavelet, rng):
         x, c = rng.normal(size=(6, 64)), rng.normal(size=(6, 64))
         wx = dwt_forward(x, wavelet, 3).coeffs
