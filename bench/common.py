@@ -10,13 +10,24 @@ import sys
 import time
 
 REPEATS = 5
+STATISTIC = (f"median of {REPEATS} rounds, each running every loop once, after one "
+             "warm-up round, divided by the loop's calls")
+UNITS = {"s": 1.0, "us": 1e6}
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
+EPILOG = """\
+Every input is built before any call is timed: a call timed right after its input
+was built read up to 3x its later time on a 2-core host. Each figure is the
+  {statistic},
+in the unit that its table's name ends in. The run and its environment (cores, BLAS
+thread variables, numpy, scipy and BLAS versions) go to runs[<label>] of
+BENCH_{topic}.json at the checkout root; other labels in that file are kept."""
 
 
-def median_seconds(fn) -> float:
-    """Median wall time of REPEATS calls of fn, after one untimed warm-up call."""
-    return median_seconds_by_rounds({0: fn})[0]
+def repeat(fn, calls: int) -> None:
+    """calls calls of fn: a loop for time_table, whose figure is then per call."""
+    for _ in range(calls):
+        fn()
 
 
 def median_seconds_by_rounds(fns: dict) -> dict:
@@ -32,6 +43,23 @@ def median_seconds_by_rounds(fns: dict) -> dict:
             fn()
             times[key].append(time.perf_counter() - start)
     return {key: statistics.median(samples) for key, samples in times.items()}
+
+
+def time_table(loops: dict) -> dict:
+    """Time every loop of {(table, *keys): (fn, calls, unit)} in one set of rounds
+    (median_seconds_by_rounds), print one line per loop and return the run
+    {table: {key: ... {last key: figure}}}, keys as strings. A figure is the loop's
+    median divided by calls, the number of calls fn makes, in unit ("s" or "us")."""
+    seconds = median_seconds_by_rounds({key: fn for key, (fn, _, _) in loops.items()})
+    run: dict = {}
+    for key, (_, calls, unit) in loops.items():
+        table, *path, last = map(str, key)
+        node = run.setdefault(table, {})
+        for part in path:
+            node = node.setdefault(part, {})
+        node[last] = figure = UNITS[unit] * seconds[key] / calls
+        print(f"{table:27s} {' '.join(path + [last]):38s} {figure:12.6g} {unit}")
+    return run
 
 
 def write_run(path: str, label: str, run: dict, **header) -> None:
@@ -51,10 +79,10 @@ def write_run(path: str, label: str, run: dict, **header) -> None:
 
 def main(topic: str, doc: str, measure, argv: list[str] | None = None) -> int:
     """Command line of a layer benchmark: import the package under test from --src, call
-    measure(), which returns (run, header), and store the run with its environment block
-    under runs[--label] of BENCH_<topic>.json at the checkout root, with header as the
-    file's other keys."""
+    measure(), which returns (run, header), and store the run as the epilog says, with
+    header as the file's other keys."""
     parser = argparse.ArgumentParser(description=doc,
+                                     epilog=EPILOG.format(statistic=STATISTIC, topic=topic),
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--src", default=os.path.join(ROOT, "src"),
                         help="directory holding the eobkit package to time")

@@ -21,31 +21,20 @@ The oracle row times the whole finite-difference check at one length:
 L = 8, 32 and 128 (33 is the share of each length in `loss-check`'s default
 100 instances), reported in seconds per checked instance: the loop's time
 over its 33 instances of each of the 14 cases.
-
-Every input and loss is built before any call is timed: a call timed right
-after its input was built read up to 3x its later time on a 2-core host.
-Each loop makes a fixed number of calls. Five rounds, after one untimed
-warm-up round, run every loop once in turn, so that a stall of the host
-that lasts a moment lands in one sample of many loops rather than in every
-sample of one; each figure is a loop's median over the rounds, divided by
-its calls. The run, with its
-environment block (cores, BLAS thread variables, numpy, scipy and BLAS
-versions), is stored under `runs[<label>]` in `BENCH_losses.json` at the
-checkout root; other labels in that file are kept, so runs of two versions
-of the package sit side by side.
 """
 
 from __future__ import annotations
 
-import functools
+from functools import partial
 
 import common
-from common import REPEATS, median_seconds_by_rounds
 
 # name: (rows, L, calls per timed loop); rows = 1 is a 1-d input, and rows = 2L a probe stack
 SHAPES = {"1x64": (1, 64, 200), "128x64": (128, 64, 20), "256x128": (256, 128, 10)}
 ORACLE_LENGTHS = (8, 32, 128)
 ORACLE_INSTANCES = 33
+# kind of loop: the attribute of the loss's result that each call reads
+READS = {"value": "value", "value_grad": "grad_wrt_prediction"}
 
 
 def case_inputs(np, case, rows: int, L: int, rng):
@@ -61,17 +50,10 @@ def case_inputs(np, case, rows: int, L: int, rng):
     return x, x_hat, case.make_loss(rng, L)
 
 
-def loops(x, x_hat, loss, calls: int) -> tuple:
-    """The two timed loops of one case and shape: value only, and value and gradient."""
-    def value():
-        for _ in range(calls):
-            loss(x, x_hat).value
-
-    def value_grad():
-        for _ in range(calls):
-            loss(x, x_hat).grad_wrt_prediction
-
-    return value, value_grad
+def loop(read: str, loss, x, x_hat, calls: int) -> None:
+    """calls calls of loss(x, x_hat), each reading the attribute `read` of its result."""
+    for _ in range(calls):
+        getattr(loss(x, x_hat), read)
 
 
 def measure() -> tuple[dict, dict]:
@@ -81,35 +63,25 @@ def measure() -> tuple[dict, dict]:
     from eobkit.processes import make_rng
 
     rng = make_rng(0)
-    timed = {}
+    loops = {}
     for case in gradcheck.LOSS_CASES:
         for shape, (rows, L, calls) in SHAPES.items():
-            value, value_grad = loops(*case_inputs(np, case, rows, L, rng), calls)
-            timed[case.name, "value", shape] = value
-            timed[case.name, "value_grad", shape] = value_grad
+            x, x_hat, loss = case_inputs(np, case, rows, L, rng)
+            for kind, read in READS.items():
+                loops["median_us", case.name, kind, shape] = (
+                    partial(loop, read, loss, x, x_hat, calls), calls, "us")
+    instances = ORACLE_INSTANCES * len(gradcheck.LOSS_CASES)
     for L in ORACLE_LENGTHS:
-        timed["oracle", L] = functools.partial(gradcheck.run_gradient_suite, lengths=(L,),
-                                               instances=ORACLE_INSTANCES, seed=0)
-    seconds_by_loop = median_seconds_by_rounds(timed)
-    oracle_s: dict[str, float] = {}
-    for L in ORACLE_LENGTHS:
-        oracle_s[str(L)] = per_instance = (seconds_by_loop.pop(("oracle", L))
-                                           / (ORACLE_INSTANCES * len(gradcheck.LOSS_CASES)))
-        print(f"{'oracle':24s} L={L:<8d} {1e6 * per_instance:10.1f} us per instance", flush=True)
-    median_us: dict[str, dict[str, dict[str, float]]] = {}
-    for (name, kind, shape), seconds in seconds_by_loop.items():
-        us = 1e6 * seconds / SHAPES[shape][2]
-        median_us.setdefault(name, {}).setdefault(kind, {})[shape] = us
-        print(f"{name:24s} {kind:10s} {shape:8s} {us:10.1f} us", flush=True)
+        loops["oracle_s_per_instance", L] = (
+            partial(gradcheck.run_gradient_suite, lengths=(L,), instances=ORACLE_INSTANCES,
+                    seed=0), instances, "s")
 
-    return {"median_us": median_us, "oracle_s_per_instance": oracle_s}, dict(
+    return common.time_table(loops), dict(
         shapes={shape: {"rows": rows, "length": L, "calls_per_loop": calls}
                 for shape, (rows, L, calls) in SHAPES.items()},
         oracle={"lengths": list(ORACLE_LENGTHS), "instances_per_case": ORACLE_INSTANCES,
                 "cases": len(gradcheck.LOSS_CASES), "seed": 0},
-        statistic=f"median of {REPEATS} rounds, each running every loop once, after "
-                  "one warm-up round; microseconds per call, and for the oracle "
-                  "seconds per instance")
+        statistic=common.STATISTIC)
 
 
 if __name__ == "__main__":

@@ -13,21 +13,19 @@ Times, for an AR(1) with phi = 0.9, at T = 16, 128, 512 and 2048:
 * `eob_ar_closed_form(spec, T)`: the autoregressive closed form;
 * `szego_convergence_curve(spec, [T])`: one point of the Szegő curve.
 
-Every input is built before any call is timed. Each figure is the median
-of five calls, after one untimed warm-up call. The run, with its
-environment block (cores, BLAS thread variables, numpy, scipy and BLAS
-versions), is stored under `runs[<label>]` in
-`BENCH_theory.json` at the checkout root; other labels in that file are
-kept, so runs of two versions of the package sit side by side.
+A loop makes 2048 // T calls of the first three, which cost O(T) and more, and
+64 of the closed forms, so no loop is one short call read cold after large ones.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 import common
-from common import REPEATS, median_seconds
 
 SWEEP = (16, 128, 512, 2048)
 PHI = 0.9
+CLOSED_FORM_CALLS = 64
 
 
 def measure() -> tuple[dict, dict]:
@@ -35,25 +33,22 @@ def measure() -> tuple[dict, dict]:
     from eobkit.processes import ARSpec, Gaussian
 
     spec = ARSpec(c=0.0, phi=(PHI,), innovation=Gaussian(0.0, 0.5), sigma_eps2=0.25)
-    # every input is built before any timing: a call timed right after its input was
-    # built read up to 3x its later time on a 2-core host
-    arrays = {T: theory.corr_matrix_from_ar(spec, T).values for T in SWEEP}
-    median_s: dict[str, dict[str, float]] = {}
-    for T, values in arrays.items():
-        timed = {
-            "autocorrelations": lambda: theory.autocorrelations(spec, T - 1),
-            "corr_matrix_from_ar": lambda: theory.corr_matrix_from_ar(spec, T),
-            "eob_mgm_with_cholesky": lambda: theory.eob_mgm(theory.CorrMatrix(values)),
-            "eob_ar_closed_form": lambda: theory.eob_ar_closed_form(spec, T),
-            "szego_convergence_curve": lambda: theory.szego_convergence_curve(spec, [T]),
-        }
-        for name, fn in timed.items():
-            median_s.setdefault(name, {})[str(T)] = median_seconds(fn)
-            print(f"{name:24s} T={T:5d} {median_s[name][str(T)]:.6f} s", flush=True)
+    loops = {}
+    for T in SWEEP:
+        values = theory.corr_matrix_from_ar(spec, T).values
+        for n, calls in ((SWEEP[-1] // T, {
+            "autocorrelations": partial(theory.autocorrelations, spec, T - 1),
+            "corr_matrix_from_ar": partial(theory.corr_matrix_from_ar, spec, T),
+            "eob_mgm_with_cholesky": lambda v=values: theory.eob_mgm(theory.CorrMatrix(v)),
+        }), (CLOSED_FORM_CALLS, {
+            "eob_ar_closed_form": partial(theory.eob_ar_closed_form, spec, T),
+            "szego_convergence_curve": partial(theory.szego_convergence_curve, spec, [T]),
+        })):
+            loops.update({("median_s", name, T): (partial(common.repeat, fn, n), n, "s")
+                          for name, fn in calls.items()})
 
-    return {"median_s": median_s}, dict(
-        spec={"phi": [PHI], "sigma_eps2": 0.25}, sweep=list(SWEEP),
-        statistic=f"median of {REPEATS} calls after one warm-up, seconds")
+    return common.time_table(loops), dict(
+        spec={"phi": [PHI], "sigma_eps2": 0.25}, sweep=list(SWEEP), statistic=common.STATISTIC)
 
 
 if __name__ == "__main__":

@@ -24,8 +24,8 @@ from dataclasses import asdict, astuple, fields, replace
 import numpy as np
 
 from . import diagnostics, experiments, gradcheck, theory, transforms
-from .processes import (ARSpec, ar_spec_from_dict, from_dict, hybrid_spec_from_dict,
-                        synthesize_hybrid, calibrate_innovation)
+from .processes import (_INNOVATION_KINDS, ARSpec, ar_spec_from_dict, from_dict,
+                        hybrid_spec_from_dict, synthesize_hybrid, calibrate_innovation)
 
 log = logging.getLogger("eobkit")
 
@@ -153,6 +153,8 @@ def _cmd_eob(args: argparse.Namespace) -> int:
         ssnr = diagnostics.estimate_ssnr(series, order=args.order)
         out = {"ssnr_estimate": ssnr, "order": args.order, "n": int(series.shape[0])}
         if args.T is not None:
+            if args.T < 1:
+                raise ValueError(f"--T must be >= 1, got {args.T}")
             out["eob_nats_at_T"] = 0.5 * args.T * math.log(ssnr)
         _write_json(out, args.out)
         return 0
@@ -314,9 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", type=float, nargs="+", default=None,
                    help="AR coefficients (alternative to --spec)")
     p.add_argument("--sigma-eps2", type=float, default=0.25, dest="sigma_eps2")
-    p.add_argument("--noise", default="gaussian",
-                   choices=["binomial", "geometric", "gaussian", "poisson",
-                            "student_t", "uniform"])
+    p.add_argument("--noise", default="gaussian", choices=sorted(_INNOVATION_KINDS))
     p.add_argument("--T", type=int, default=None, help="window length")
     p.add_argument("--bits", action="store_true", help="also report the value in bits")
     p.add_argument("--estimate", action="store_true",

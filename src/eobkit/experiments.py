@@ -80,6 +80,8 @@ class ModelSpec:
             raise ValueError(f"activation must be 'tanh' or 'relu', got {self.activation!r}")
         if self.hidden < 1:
             raise ValueError(f"hidden must be >= 1, got {self.hidden}")
+        if self.init_seed < 0:
+            raise ValueError(f"init_seed must be >= 0, got {self.init_seed}")
 
 
 @dataclass(frozen=True)
@@ -145,6 +147,8 @@ class GridSpec:
         for name in ("replications", "history", "det_period"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if min(self.horizons) < 1:
             raise ValueError(f"every horizon must be >= 1, got horizons={self.horizons}")
         if any(v < self.ssnr_z for v in self.ssnr_x_values):
@@ -626,6 +630,7 @@ def insight_experiment(K: int = 3, fmax: int = 15, n: int = 3072,
         raise ValueError(f"K must lie in 1..fmax, got K={K}, fmax={fmax}")
     if fmax >= horizon // 2:
         raise ValueError(f"fmax={fmax} must stay below horizon/2={horizon // 2}")
+    rng = make_rng(seed)
     if model is None:
         model = ModelSpec(kind="mlp1", hidden=64, activation="tanh", init_seed=seed)
     if cfg_temporal is None:
@@ -634,7 +639,6 @@ def insight_experiment(K: int = 3, fmax: int = 15, n: int = 3072,
         cfg_harmonized = TrainConfig(loss=LossSpec(kind="harmonized", norm="l1",
                                                    gamma=0.5, beta=0.3, transform="dft"))
 
-    rng = make_rng(seed)
     freqs = tuple(int(k) for k in rng.choice(np.arange(1, fmax + 1), size=K, replace=False))
     phases = tuple(rng.uniform(0.0, 2.0 * math.pi, size=K))
     det = DeterministicSpec(base_amplitude=math.sqrt(2.0), freqs=freqs, phases=phases,

@@ -81,18 +81,18 @@ def _cast(spec) -> None:
                 raise ValueError(f"{type(spec).__name__}.{_json_key(f)}: {exc}") from None
 
 
+def seed_sequence(seed: SeedLike) -> np.random.SeedSequence:
+    """The SeedSequence of a seed: a SeedSequence as it is, or a non-negative integer."""
+    if isinstance(seed, np.random.SeedSequence):
+        return seed
+    if isinstance(seed, (bool, np.bool_)) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    return np.random.SeedSequence(int(seed))
+
+
 def make_rng(seed: SeedLike) -> np.random.Generator:
     """Philox generator keyed by an integer seed or a SeedSequence."""
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.Generator(np.random.Philox(seed))
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
-
-
-def spawn_seeds(seed: SeedLike, n: int) -> list[np.random.SeedSequence]:
-    """Derive n independent sub-streams from a seed, deterministically."""
-    if isinstance(seed, np.random.SeedSequence):
-        return seed.spawn(n)
-    return np.random.SeedSequence(int(seed)).spawn(n)
+    return np.random.Generator(np.random.Philox(seed_sequence(seed)))
 
 
 # ---------------------------------------------------------------------------
@@ -532,10 +532,10 @@ def synthesize_deterministic(spec: DeterministicSpec, n: int) -> np.ndarray:
 
 def synthesize_hybrid(spec: HybridSpec, seed: SeedLike = 0) -> np.ndarray:
     """Element-wise sum of the deterministic and AR paths."""
+    seq = seed_sequence(seed)
     if spec.length == 0:
         return np.empty(0, dtype=float)
-    (ar_seed,) = spawn_seeds(seed, 1)
-    z = simulate_ar(spec.ar, spec.length, seed=ar_seed)
+    z = simulate_ar(spec.ar, spec.length, seed=seq.spawn(1)[0])
     if spec.det is None:
         return z
     return synthesize_deterministic(spec.det, spec.length) + z

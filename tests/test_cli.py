@@ -98,6 +98,30 @@ class TestEob:
         assert run_cli("eob", "--phi", "0.6") == 1
 
 
+class TestNegativeInputs:
+    @pytest.mark.parametrize("command", [("generate", "--spec", "SPEC"), ("loss-check",),
+                                         ("insight",)], ids=lambda c: c[0])
+    def test_negative_seed_names_the_seed(self, command, process_spec_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = [process_spec_file if a == "SPEC" else a for a in command]
+        assert run_cli(*argv, "--seed", "-1", "--out", str(out)) == 1
+        assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("T", ["0", "-5"])
+    def test_estimate_window_below_one_is_rejected(self, T, tmp_path, capsys):
+        series, out = tmp_path / "series.csv", tmp_path / "eob.json"
+        series.write_text("value\n" + "\n".join(str(math.sin(i)) for i in range(64)) + "\n")
+        assert run_cli("eob", "--estimate", "--input", str(series), "--T", T,
+                       "--out", str(out)) == 1
+        assert f"--T must be >= 1, got {T}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("noise", [*INNOVATION_DOCS, "cauchy"])
+    def test_noise_takes_every_innovation_family(self, noise, capsys):
+        assert run_cli("eob", "--phi", "0.6", "--T", "4", "--noise", noise) == (noise == "cauchy")
+
+
 class TestRoundTrip:
     def test_generate_diagnose_estimate(self, process_spec_file, tmp_path, capsys):
         out = tmp_path / "series.csv"
@@ -336,7 +360,7 @@ class TestGridSpecAtParse:
     @pytest.mark.parametrize("key,bad", [
         ("noise", "cauchy"), ("ssnr_z", 0.5), ("sigma_eps2", 2.0), ("det_fmax", 2),
         ("det_harmonics", 0), ("det_period", 0), ("history", 0), ("series_length", 10),
-        ("series_length", 66), ("horizons", [0, 16]),
+        ("series_length", 66), ("horizons", [0, 16]), ("seed", -4),
     ])
     def test_simulate_rejects_impossible_grid(self, key, bad, tmp_path, capsys):
         doc = json.loads(json.dumps(GRID_CONFIG))
@@ -352,6 +376,20 @@ class TestGridSpecAtParse:
         assert captured.out == ""
         assert key in captured.err
         assert not out.exists()
+
+    @pytest.mark.parametrize("model,override,field", [({"init_seed": -1}, [], "init_seed"),
+                                                      ({}, ["--seed", "-1"], "seed")],
+                             ids=["init-seed", "seed-override"])
+    def test_negative_seed_exits_1_before_any_cell(self, model, override, field, tmp_path,
+                                                   capsys, monkeypatch):
+        monkeypatch.setattr(cli.experiments, "run_grid",
+                            lambda *args, **kwargs: pytest.fail("a grid cell ran"))
+        src, out = tmp_path / "grid.json", tmp_path / "grid.csv"
+        src.write_text(json.dumps({**GRID_CONFIG, "model": {**GRID_CONFIG["model"], **model}}))
+        assert run_cli("simulate", "--grid", str(src), "--jobs", "1", "--out", str(out),
+                       *override) == 1
+        assert re.search(rf"(^|\s){field} must be >= 0, got -1", capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == [src]
 
 
 class TestLossCheck:

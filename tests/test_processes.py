@@ -13,7 +13,7 @@ from conftest import INNOVATION_DOCS, step_up
 from eobkit.processes import (_AR_BLOCK, ARSpec, Binomial, DeterministicSpec, Gaussian,
                               Geometric, HybridSpec, NonStationaryError, Poisson, StudentT,
                               Uniform, calibrate_innovation, default_burn_in,
-                              hybrid_spec_from_dict, psi_weights,
+                              hybrid_spec_from_dict, make_rng, psi_weights,
                               reflection_coefficients, sample_innovation, simulate_ar,
                               synthesize_deterministic, synthesize_hybrid)
 
@@ -289,6 +289,34 @@ class TestHybrid:
         assert np.array_equal(synthesize_hybrid(spec, seed=13), synthesize_hybrid(spec, seed=13))
         assert not np.array_equal(synthesize_hybrid(spec, seed=13),
                                   synthesize_hybrid(spec, seed=14))
+
+
+    def test_seed_keys_the_ar_path_through_one_spawned_stream(self):
+        spec = HybridSpec(ar=ARSpec.ar1_for_ssnr(8.0), det=None, length=500)
+        (child,) = np.random.SeedSequence(13).spawn(1)
+        assert np.array_equal(synthesize_hybrid(spec, seed=13),
+                              simulate_ar(spec.ar, 500, seed=child))
+
+
+class TestSeeds:
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "3"])
+    @pytest.mark.parametrize("draw", [
+        make_rng,
+        lambda seed: synthesize_hybrid(HybridSpec(ar=ARSpec.white_noise(), det=None,
+                                                  length=0), seed=seed),
+    ], ids=["make_rng", "synthesize_hybrid"])
+    def test_bad_seed_is_rejected_by_name(self, draw, seed):
+        with pytest.raises(ValueError, match=re.escape(f"seed must be a non-negative integer, "
+                                                       f"got {seed!r}")):
+            draw(seed)
+
+    @pytest.mark.parametrize("seed", [0, 7, np.int64(2**40), np.random.SeedSequence(5)])
+    def test_valid_seed_keys_a_philox_stream(self, seed):
+        seq = seed
+        if not isinstance(seed, np.random.SeedSequence):
+            seq = np.random.SeedSequence(int(seed))
+        expected = np.random.Generator(np.random.Philox(seq)).random(4)
+        assert np.array_equal(make_rng(seed).random(4), expected)
 
 
 # README's process spec
