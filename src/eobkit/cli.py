@@ -25,7 +25,7 @@ import numpy as np
 
 from . import diagnostics, experiments, gradcheck, theory, transforms
 from .processes import (_INNOVATION_KINDS, ARSpec, ar_spec_from_dict, from_dict,
-                        hybrid_spec_from_dict, synthesize_hybrid, calibrate_innovation)
+                        hybrid_spec_from_dict, synthesize_hybrid, calibrate_innovation, to_dict)
 
 log = logging.getLogger("eobkit")
 
@@ -250,7 +250,8 @@ def _parse_experiment_config(obj: dict, seed_override: int | None):
     if "grid" not in obj:
         raise ValueError("experiment config requires a 'grid' section")
 
-    grid = from_dict(experiments.GridSpec, obj["grid"], "grid config")
+    grid = from_dict(experiments.GridSpec, obj["grid"], "grid config",
+                     nested={"ar": ar_spec_from_dict})
     if seed_override is not None:
         grid = replace(grid, seed=seed_override)
     model = from_dict(experiments.ModelSpec, obj.get("model", {}), "model config")
@@ -275,8 +276,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     if args.out is not None:
         # the parsed specs as a config document: `simulate --grid` reads it back to them
-        config = {"schema_version": SCHEMA_VERSION, "grid": asdict(grid),
-                  "model": asdict(model), "train": asdict(cfg)}
+        config = {"schema_version": SCHEMA_VERSION, "grid": to_dict(grid),
+                  "model": to_dict(model), "train": to_dict(cfg)}
         config["loss"] = config["train"].pop("loss")
         _write_json({"config": config,
                      "cells": [asdict(record) for record in result.records],
@@ -312,15 +313,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_generate)
 
     p = sub.add_parser("eob", help="closed-form bias report for an AR spec")
-    p.add_argument("--spec", default=None, help="AR spec JSON file")
-    p.add_argument("--phi", type=float, nargs="+", default=None,
-                   help="AR coefficients (alternative to --spec)")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--spec", default=None, help="AR spec JSON file")
+    source.add_argument("--phi", type=float, nargs="+", default=None,
+                        help="AR coefficients (alternative to --spec)")
+    source.add_argument("--estimate", action="store_true",
+                        help="estimate SSNR from a series instead of using a spec")
     p.add_argument("--sigma-eps2", type=float, default=0.25, dest="sigma_eps2")
     p.add_argument("--noise", default="gaussian", choices=sorted(_INNOVATION_KINDS))
     p.add_argument("--T", type=int, default=None, help="window length")
     p.add_argument("--bits", action="store_true", help="also report the value in bits")
-    p.add_argument("--estimate", action="store_true",
-                   help="estimate SSNR from a series instead of using a spec")
     p.add_argument("--input", default=None, help="series CSV (with --estimate)")
     p.add_argument("--order", type=int, default=1, help="fit order (with --estimate)")
     p.add_argument("--out", default=None, help="output JSON (default stdout)")

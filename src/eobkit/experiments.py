@@ -24,11 +24,11 @@ from functools import cached_property
 import numpy as np
 
 from . import losses, transforms
-from .diagnostics import (SurfacePoint, _rank_correlation, inefficiency_ratio,
-                          optimal_mse_baseline, sliding_windows)
+from .diagnostics import SurfacePoint, _rank_correlation, inefficiency_ratio, sliding_windows
 from .gradcheck import central_difference, relative_error
 from .processes import (ARSpec, DeterministicSpec, HybridSpec, _cast, make_rng,
                         synthesize_deterministic, synthesize_hybrid)
+from .theory import YuleWalkerSolution, solve_yule_walker
 
 __all__ = [
     "CellRecord",
@@ -132,18 +132,20 @@ class GridSpec:
     series_length: int = 5000
     replications: int = 3
     seed: int = 0
-    # stochastic core and sinusoid stack defaults
-    ssnr_z: float = 32.0
-    sigma_eps2: float = 0.25
-    noise: str = "gaussian"
+    # the stochastic core shared by every cell, and the sinusoid stack over it
+    ar: ARSpec = field(default_factory=lambda: ARSpec.ar1_for_ssnr(32.0, 0.25))
     det_harmonics: int = 3
     det_fmax: int = 15
     det_period: int = 128
 
     def __post_init__(self):
         _cast(self)
-        if not self.ssnr_x_values or not self.horizons:
-            raise ValueError("ssnr_x_values and horizons must be non-empty")
+        for name in ("ssnr_x_values", "horizons"):
+            values = getattr(self, name)
+            if not values:
+                raise ValueError(f"{name} must be non-empty")
+            if len(set(values)) < len(values):
+                raise ValueError(f"{name} must not repeat a value, got {values}")
         for name in ("replications", "history", "det_period"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -151,22 +153,23 @@ class GridSpec:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if min(self.horizons) < 1:
             raise ValueError(f"every horizon must be >= 1, got horizons={self.horizons}")
-        if any(v < self.ssnr_z for v in self.ssnr_x_values):
-            raise ValueError(
-                f"every ssnr_x must be >= the stochastic floor ssnr_z={self.ssnr_z}")
-        try:
-            self.ar
-        except ValueError as exc:
-            raise ValueError(f"grid noise={self.noise!r}, ssnr_z={self.ssnr_z}, "
-                             f"sigma_eps2={self.sigma_eps2}: {exc}") from None
+        below = [v for v in self.ssnr_x_values if v < self.floor.ssnr]
+        if below:
+            raise ValueError(f"every ssnr_x must be >= the stochastic floor, the ar core's "
+                             f"closed-form SSNR {self.floor.ssnr!r}; ssnr_x_values has {below}")
         if not 1 <= self.det_harmonics <= self.det_fmax:
             raise ValueError(f"det_harmonics must lie in [1, det_fmax={self.det_fmax}], "
                              f"got {self.det_harmonics}")
+        # DeterministicSpec's alias rule for every tone set drawn from 1..det_fmax
+        if not 2 * self.det_fmax < self.det_period:
+            raise ValueError(f"det_fmax={self.det_fmax} must stay below det_period/2 = "
+                             f"{self.det_period / 2:g}, or its tones alias")
 
     @cached_property
-    def ar(self) -> ARSpec:
-        """The stochastic core shared by every cell of the grid."""
-        return ARSpec.ar1_for_ssnr(self.ssnr_z, self.sigma_eps2, self.noise)
+    def floor(self) -> YuleWalkerSolution:
+        """The core's closed-form SSNR and marginal variance sigma_z^2: the stochastic floor
+        that each level's tones sit on, and that each cell's MSE is measured against."""
+        return solve_yule_walker(self.ar)
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +448,7 @@ class GridResult:
 
 
 def _cell_spec(grid: GridSpec, ssnr_x: float, rng: np.random.Generator) -> HybridSpec:
-    ssnr_v = ssnr_x - grid.ssnr_z
+    ssnr_v = ssnr_x - grid.floor.ssnr
     if ssnr_v <= 0.0:
         det = None
     else:
@@ -453,7 +456,7 @@ def _cell_spec(grid: GridSpec, ssnr_x: float, rng: np.random.Generator) -> Hybri
                       rng.choice(np.arange(1, grid.det_fmax + 1),
                                  size=grid.det_harmonics, replace=False))
         phases = tuple(rng.uniform(0.0, 2.0 * math.pi, size=grid.det_harmonics))
-        det = DeterministicSpec.for_ssnr(ssnr_v, grid.sigma_eps2, freqs, phases,
+        det = DeterministicSpec.for_ssnr(ssnr_v, grid.ar.sigma_eps2, freqs, phases,
                                          grid.det_period)
     return HybridSpec(ar=grid.ar, det=det, length=grid.series_length)
 
@@ -476,7 +479,7 @@ def _run_cell(args: tuple) -> CellRecord:
     result = train_model(model, X_tr, Y_tr, cfg, seed=train_seed)
     mse_actual = evaluate_mse(result.model, X_te, Y_te)
 
-    sigma_z2 = optimal_mse_baseline(spec.ar, horizon, "asymptotic")
+    sigma_z2 = grid.floor.sigma_z2
     sigma_x2 = sigma_z2 + (spec.det.variance if spec.det is not None else 0.0)
     mse_relative = mse_actual / sigma_x2
     mse_opt_rel = sigma_z2 / sigma_x2  # asymptotic optimum: SSNR_z / SSNR_x

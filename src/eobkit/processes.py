@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import MISSING, Field, dataclass, field, fields
+from dataclasses import MISSING, Field, dataclass, field, fields, is_dataclass
 from typing import Union
 
 import numpy as np
@@ -377,15 +377,20 @@ class DeterministicSpec:
         _cast(self)
         if len(self.freqs) == 0:
             raise ValueError("at least one harmonic frequency is required")
+        if self.period < 1:
+            raise ValueError(f"period must be >= 1, got {self.period}")
         if len(self.freqs) != len(self.phases):
             raise ValueError(
                 f"freqs and phases length mismatch: {len(self.freqs)} vs {len(self.phases)}")
-        if any(k == 0 for k in self.freqs):
-            raise ValueError("zero frequency is not allowed (amplitude adjustment divides by k_i)")
+        # sampled at integer t, a tone at k cycles per period shows at min(k mod P, -k mod P):
+        # a zero there is a constant, P/2 a tone whose variance rides on its phase, and two
+        # equal ones one tone, so that K*A^2/2 would not be the variance
+        reduced = [min(k % self.period, -k % self.period) for k in self.freqs]
+        if 0 in reduced or 2 * max(reduced) == self.period or len(set(reduced)) < self.K:
+            raise ValueError(f"freqs {self.freqs} alias at period {self.period}: each frequency "
+                             f"must reduce to a distinct bin strictly between 0 and period/2")
         if any(not 0.0 <= ph < 2.0 * math.pi for ph in self.phases):
             raise ValueError("phases must lie in [0, 2*pi)")
-        if self.period < 1:
-            raise ValueError(f"period must be >= 1, got {self.period}")
         if self.base_amplitude < 0.0:
             raise ValueError(f"base_amplitude must be >= 0, got {self.base_amplitude}")
 
@@ -577,6 +582,17 @@ def from_dict(cls, obj, where: str, nested: dict | None = None, **fixed):
         if key in values:
             values[key] = load(values[key])
     return cls(**{by_key[key].name: value for key, value in values.items()}, **fixed)
+
+
+def to_dict(spec) -> dict:
+    """The JSON object of the dataclass `spec`, the inverse of `from_dict`: each field under
+    its JSON key, a nested spec as its own object, and an innovation with its kind."""
+    kind = next((k for k, cls in _INNOVATION_KINDS.items() if type(spec) is cls), None)
+    obj = {} if kind is None else {"kind": kind}
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        obj[_json_key(f)] = to_dict(value) if is_dataclass(value) else value
+    return obj
 
 
 def innovation_from_dict(obj: dict) -> InnovationDist:

@@ -1,5 +1,4 @@
 import ctypes
-import dataclasses
 import json
 import math
 import os
@@ -16,7 +15,7 @@ from conftest import INNOVATION_DOCS
 from eobkit import cli, gradcheck
 from eobkit.cli import _fmt, _parse_experiment_config, main
 from eobkit.experiments import GridSpec, ModelSpec
-from eobkit.processes import hybrid_spec_from_dict
+from eobkit.processes import hybrid_spec_from_dict, to_dict
 from test_experiments import tiny_grid
 from test_gradcheck import nan_gradient
 
@@ -96,6 +95,19 @@ class TestEob:
 
     def test_missing_T_is_validation_error(self):
         assert run_cli("eob", "--phi", "0.6") == 1
+
+    @pytest.mark.parametrize("first,second", [
+        (("--spec", "SPEC"), ("--phi", "0.9")), (("--spec", "SPEC"), ("--estimate",)),
+        (("--phi", "0.9"), ("--estimate",))], ids=["spec-phi", "spec-estimate", "phi-estimate"])
+    def test_core_sources_are_exclusive(self, first, second, ar_spec_file, tmp_path, capsys):
+        series, out = tmp_path / "series.csv", tmp_path / "eob.json"
+        series.write_text("value\n" + "\n".join(str(math.sin(i)) for i in range(64)) + "\n")
+        argv = [ar_spec_file if a == "SPEC" else a for a in (*first, *second)]
+        assert run_cli("eob", *argv, "--input", str(series), "--T", "16",
+                       "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "not allowed with argument" in captured.err
+        assert not out.exists()
 
 
 class TestNegativeInputs:
@@ -273,13 +285,15 @@ class TestIntegerFields:
 class TestFloatFields:
     @pytest.mark.parametrize("bad", ["0.5", True], ids=["string", "bool"])
     @pytest.mark.parametrize("section,key", [
-        ("grid", "ssnr_x_values"), ("grid", "ssnr_z"), ("grid", "sigma_eps2"),
+        ("grid", "ssnr_x_values"), ("grid.ar", "c"), ("grid.ar", "sigma_eps2"),
         ("train", "lr"), ("train", "split"),
         ("loss", "gamma"), ("loss", "eps"), ("loss", "beta"),
     ])
     def test_simulate_rejects_non_real(self, section, key, bad, tmp_path, capsys):
         doc = json.loads(json.dumps(GRID_CONFIG))
-        doc[section][key] = [32.0, bad] if key == "ssnr_x_values" else bad
+        doc["grid"]["ar"] = json.loads(json.dumps(AR_SPEC))
+        target = doc["grid"]["ar"] if section == "grid.ar" else doc[section]
+        target[key] = [32.0, bad] if key == "ssnr_x_values" else bad
         src = tmp_path / "grid.json"
         src.write_text(json.dumps(doc))
         assert run_cli("simulate", "--grid", str(src), "--jobs", "1") == 1
@@ -358,23 +372,50 @@ class TestGridSpecAtParse:
     naming the field, with nothing on stdout and no CSV."""
 
     @pytest.mark.parametrize("key,bad", [
-        ("noise", "cauchy"), ("ssnr_z", 0.5), ("sigma_eps2", 2.0), ("det_fmax", 2),
+        ("det_fmax", 2), ("det_fmax", 16), ("det_fmax", 40),
         ("det_harmonics", 0), ("det_period", 0), ("history", 0), ("series_length", 10),
         ("series_length", 66), ("horizons", [0, 16]), ("seed", -4),
+        ("ssnr_x_values", [32, 96, 96]), ("horizons", [16, 16]),
     ])
     def test_simulate_rejects_impossible_grid(self, key, bad, tmp_path, capsys):
         doc = json.loads(json.dumps(GRID_CONFIG))
         doc["grid"][key] = bad
-        if key == "ssnr_z":
-            doc["grid"]["ssnr_x_values"] = [1.0, 2.0]
-        if key == "sigma_eps2":
-            doc["grid"]["noise"] = "binomial"
         src, out = tmp_path / "grid.json", tmp_path / "grid.csv"
         src.write_text(json.dumps(doc))
         assert run_cli("simulate", "--grid", str(src), "--jobs", "1", "--out", str(out)) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert key in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit,named", [
+        ({"innovation": {"kind": "cauchy", "scale": 1.0}}, "innovation kind must be one of"),
+        ({"phi": [1.5]}, "AR coefficients (1.5,) are non-stationary"),
+        ({"innovation": INNOVATION_DOCS["binomial"], "sigma_eps2": 2.0},
+         "innovation variance 0.25 does not match sigma_eps2=2"),
+        ({"sigma": 0.5}, "unknown field(s) in ar: ['sigma']"),
+    ], ids=["unknown-kind", "non-stationary", "binomial-variance", "unknown-key"])
+    def test_simulate_rejects_impossible_ar_core(self, edit, named, tmp_path, capsys):
+        doc = json.loads(json.dumps(GRID_CONFIG))
+        doc["grid"]["ar"] = {**AR_SPEC, **edit}
+        src, out = tmp_path / "grid.json", tmp_path / "grid.csv"
+        src.write_text(json.dumps(doc))
+        assert run_cli("simulate", "--grid", str(src), "--jobs", "1", "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert named in captured.err
+        assert not out.exists()
+
+    def test_level_below_the_core_ssnr_names_both(self, tmp_path, capsys):
+        # AR(2) with phi = (0.5, 0.3): SSNR = 1 / ((1 - 0.3^2)(1 - (0.5/0.7)^2)) = 2.2435...
+        doc = json.loads(json.dumps(GRID_CONFIG))
+        doc["grid"]["ar"] = {**AR_SPEC, "phi": [0.5, 0.3]}
+        doc["grid"]["ssnr_x_values"] = [2.0, 8.0]
+        src, out = tmp_path / "grid.json", tmp_path / "grid.csv"
+        src.write_text(json.dumps(doc))
+        assert run_cli("simulate", "--grid", str(src), "--jobs", "1", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "closed-form SSNR 2.24358974358974" in err and "ssnr_x_values has [2.0]" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("model,override,field", [({"init_seed": -1}, [], "init_seed"),
@@ -475,6 +516,13 @@ def grid_config_file(tmp_path):
     return str(path)
 
 
+# non-default grid cores, each with innovation variance 0.25: an AR(2) with Poisson
+# innovations and an AR(1) with Student-t innovations at nu = 3
+CORES = {"ar2-poisson": {**AR_SPEC, "phi": [0.5, 0.3], "innovation": INNOVATION_DOCS["poisson"]},
+         "student-t-nu3": {**AR_SPEC, "innovation": {"kind": "student_t", "nu": 3.0,
+                                                     "alpha": math.sqrt(0.25 / 3.0)}}}
+
+
 class TestSimulate:
     HEADER = "ssnr_x,horizon,replication,mse_actual,mse_relative,mse_opt_rel,inefficiency"
 
@@ -508,24 +556,41 @@ class TestSimulate:
             assert 1 <= cell["best_epoch"] <= cell["epochs_run"] <= 4
         assert meta["cells"][0]["amplitude"] == 0.0 < meta["cells"][1]["amplitude"]
 
-    @pytest.mark.parametrize("loss", [
-        {"kind": "temporal", "norm": "l2"},
-        {"kind": "harmonized", "norm": "l2", "transform": "dwt", "wavelet": "db2", "levels": 2},
-    ], ids=["temporal", "harmonized-dwt"])
-    def test_sidecar_config_reproduces_the_csv(self, loss, tmp_path):
+    @pytest.mark.parametrize("loss,core", [
+        ({"kind": "temporal", "norm": "l2"}, {}),
+        ({"kind": "harmonized", "norm": "l2", "transform": "dwt", "wavelet": "db2", "levels": 2},
+         {}),
+        ({"kind": "temporal", "norm": "l2"}, {"ar": CORES["ar2-poisson"]}),
+        ({"kind": "temporal", "norm": "l2"}, {"ar": CORES["student-t-nu3"]}),
+    ], ids=["temporal", "harmonized-dwt", "ar2-poisson", "student-t-nu3"])
+    def test_sidecar_config_reproduces_the_csv(self, loss, core, tmp_path):
+        doc = {**GRID_CONFIG, "grid": {**GRID_CONFIG["grid"], **core}, "loss": loss}
         src = tmp_path / "grid.json"
-        src.write_text(json.dumps({**GRID_CONFIG, "loss": loss}))
+        src.write_text(json.dumps(doc))
         first, replay = tmp_path / "first.csv", tmp_path / "replay.csv"
         assert run_cli("simulate", "--grid", str(src), "--out", str(first), "--jobs", "1",
                        "--seed", "3") == 0
         config = json.loads((tmp_path / "first.csv.meta.json").read_text())["config"]
         assert config["grid"]["seed"] == 3
-        assert _parse_experiment_config(config, None) == _parse_experiment_config(
-            {**GRID_CONFIG, "loss": loss}, 3)
+        assert config["grid"]["ar"] == core.get("ar", config["grid"]["ar"])
+        assert _parse_experiment_config(config, None) == _parse_experiment_config(doc, 3)
         (tmp_path / "config.json").write_text(json.dumps(config))
         assert run_cli("simulate", "--grid", str(tmp_path / "config.json"), "--out",
                        str(replay), "--jobs", "1") == 0
         assert replay.read_bytes() == first.read_bytes()
+
+    @pytest.mark.parametrize("core", CORES.values(), ids=CORES)
+    def test_core_csv_identical_across_jobs(self, core, grid_config_file, tmp_path):
+        src = tmp_path / "core.json"
+        src.write_text(json.dumps({**GRID_CONFIG, "grid": {**GRID_CONFIG["grid"], "ar": core}}))
+        serial, pooled = tmp_path / "serial.csv", tmp_path / "pooled.csv"
+        assert run_cli("simulate", "--grid", str(src), "--out", str(serial), "--jobs", "1") == 0
+        assert run_cli("simulate", "--grid", str(src), "--out", str(pooled), "--jobs", "2") == 0
+        assert serial.read_bytes() == pooled.read_bytes()
+        default = tmp_path / "default.csv"
+        assert run_cli("simulate", "--grid", grid_config_file, "--out", str(default),
+                       "--jobs", "1") == 0
+        assert serial.read_bytes() != default.read_bytes()
 
     def test_deterministic_given_seed(self, grid_config_file, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -590,8 +655,11 @@ class TestSchema:
         assert grid == GridSpec(ssnr_x_values=(32.0, 96.0), horizons=(16,), history=16,
                                 series_length=700, replications=1, seed=7, det_period=32)
 
-    @pytest.mark.parametrize("section,key", [("grid", "bogus"), ("model", "input_len"),
-                                             ("train", "loss"), ("loss", "bogus")])
+    # the grid's old core keys are unknown: its core is the "ar" block
+    @pytest.mark.parametrize("section,key", [("grid", "bogus"), ("grid", "ssnr_z"),
+                                             ("grid", "sigma_eps2"), ("grid", "noise"),
+                                             ("model", "input_len"), ("train", "loss"),
+                                             ("loss", "bogus")])
     def test_unknown_or_fixed_key_rejected(self, section, key):
         doc = json.loads(json.dumps(GRID_CONFIG))
         doc[section][key] = 1
@@ -637,7 +705,7 @@ class TestNumpyOnlyRuntime:
     def test_subcommands_run_with_scipy_blocked(self, process_spec_file, tmp_path):
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps({
-            "schema_version": 1, "grid": dataclasses.asdict(tiny_grid()),
+            "schema_version": 1, "grid": to_dict(tiny_grid()),
             "train": {"max_epochs": 5, "patience": 5, "check_gradients": False},
             "loss": {"kind": "temporal", "norm": "l2"}}))
         series, surface = str(tmp_path / "series.csv"), str(tmp_path / "surface.csv")

@@ -13,7 +13,9 @@ from eobkit.experiments import (GradientCheckError, GridSpec, LinearModel, LossS
                                 insight_experiment, leakage_metrics, make_window_pairs,
                                 paradox_trend_test, run_grid, train_model)
 from eobkit.losses import HarmonizedConfig
-from eobkit.processes import ARSpec, DeterministicSpec, Gaussian, from_dict, simulate_ar
+from eobkit.processes import (ARSpec, DeterministicSpec, Gaussian, ar_spec_from_dict, from_dict,
+                              simulate_ar)
+from eobkit.theory import solve_yule_walker
 
 
 def ar1(phi=0.6):
@@ -169,10 +171,34 @@ class TestRunGrid:
                                                     rel=1e-12)
 
     def test_opt_rel_ratio(self):
-        grid = tiny_grid(ssnr_x_values=(320.0,), ssnr_z=32.0)
+        grid = tiny_grid(ssnr_x_values=(320.0,))  # the default core, SSNR 32
         model = ModelSpec(kind="linear")
         result = run_grid(grid, model, tiny_cfg())
         assert result.points[0].mse_opt_rel == pytest.approx(0.1, rel=1e-9)
+
+    def test_floor_is_solved_once_per_grid(self, monkeypatch):
+        calls = []
+
+        def counted(spec):
+            calls.append(spec)
+            return solve_yule_walker(spec)
+
+        monkeypatch.setattr(experiments, "solve_yule_walker", counted)
+        grid = tiny_grid(ssnr_x_values=(32.0, 64.0), replications=2)
+        run_grid(grid, ModelSpec(kind="linear"), tiny_cfg(max_epochs=1))
+        assert calls == [grid.ar]
+
+    def test_levels_share_the_floor_of_an_ar2_core(self):
+        # the tones carry ssnr_x minus the core's closed-form SSNR, in units of sigma_eps2
+        ar = ARSpec(c=0.0, phi=(0.5, 0.3), innovation=Gaussian(0.0, 0.5), sigma_eps2=0.25)
+        grid = tiny_grid(ssnr_x_values=(8.0, 40.0), ar=ar)
+        floor = solve_yule_walker(ar)
+        assert (grid.floor.ssnr, grid.floor.sigma_z2) == (floor.ssnr, floor.sigma_z2)
+        for ssnr_x in grid.ssnr_x_values:
+            det = experiments._cell_spec(grid, ssnr_x, experiments.make_rng(0)).det
+            assert det.variance == pytest.approx(0.25 * (ssnr_x - floor.ssnr), rel=1e-12)
+        for pt in run_grid(grid, ModelSpec(kind="linear"), tiny_cfg(max_epochs=1)).points:
+            assert pt.mse_opt_rel == pytest.approx(floor.ssnr / pt.ssnr_x, rel=1e-12)
 
     def test_reproducible_bit_for_bit(self):
         grid = tiny_grid()
@@ -256,8 +282,8 @@ class TestRunGrid:
             assert record.amplitude == (spec.det.base_amplitude if spec.det else 0.0)
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="floor"):
-            tiny_grid(ssnr_x_values=(16.0,), ssnr_z=32.0)
+        with pytest.raises(ValueError, match=r"floor.* SSNR 32\.0; ssnr_x_values has \[16\.0\]"):
+            tiny_grid(ssnr_x_values=(16.0, 64.0))
 
 
 class TestTrendStats:
@@ -357,11 +383,40 @@ class TestLossSpecParsing:
 class TestGridSpecValidation:
     @pytest.mark.parametrize("kwargs", [
         {"ssnr_x_values": (math.nan, 64.0)}, {"ssnr_x_values": (32.0, math.inf)},
-        {"ssnr_z": math.nan}, {"sigma_eps2": math.inf}, {"sigma_eps2": math.nan},
     ])
     def test_non_finite_rejected(self, kwargs):
         with pytest.raises(ValueError, match="must be finite"):
             GridSpec(**kwargs)
+
+    @pytest.mark.parametrize("key,value", [("phi", [math.nan]), ("c", math.inf),
+                                           ("sigma_eps2", math.inf), ("sigma_eps2", math.nan)])
+    def test_non_finite_ar_rejected(self, key, value):
+        ar = {"c": 0.0, "phi": [0.6], "innovation": {"kind": "gaussian", "mu": 0.0, "sigma": 0.5},
+              "sigma_eps2": 0.25, key: value}
+        with pytest.raises(ValueError, match=f"ARSpec.{key}: .*must be finite"):
+            from_dict(GridSpec, {"ar": ar}, "grid", nested={"ar": ar_spec_from_dict})
+
+    def test_default_core_is_the_desk_ar1(self):
+        default, desk = GridSpec().ar, ARSpec.ar1_for_ssnr(32.0, 0.25)
+        assert default == desk
+        assert [v.hex() for v in default.phi] == [v.hex() for v in desk.phi]
+        assert GridSpec().floor.ssnr == 32.0 and GridSpec().floor.sigma_z2 == 8.0
+
+    @pytest.mark.parametrize("period", range(1, 25))
+    def test_fmax_rule_is_the_tone_rule(self, period):
+        # a grid accepts det_fmax iff DeterministicSpec accepts every tone in 1..det_fmax
+        for fmax in range(1, period + 3):
+            try:
+                DeterministicSpec(1.0, tuple(range(1, fmax + 1)), (0.0,) * fmax, period)
+                tones_ok = True
+            except ValueError:
+                tones_ok = False
+            try:
+                GridSpec(det_harmonics=1, det_fmax=fmax, det_period=period)
+                grid_ok = True
+            except ValueError:
+                grid_ok = False
+            assert grid_ok == tones_ok, (fmax, period)
 
 
 class TestLossSpecIsHarmonizedConfig:

@@ -15,7 +15,7 @@ from eobkit.processes import (_AR_BLOCK, ARSpec, Binomial, DeterministicSpec, Ga
                               Uniform, calibrate_innovation, default_burn_in,
                               hybrid_spec_from_dict, make_rng, psi_weights,
                               reflection_coefficients, sample_innovation, simulate_ar,
-                              synthesize_deterministic, synthesize_hybrid)
+                              synthesize_deterministic, synthesize_hybrid, to_dict)
 
 SIGMA_EPS2 = 0.25
 FAMILIES = ("binomial", "geometric", "gaussian", "poisson", "student_t", "uniform")
@@ -247,6 +247,33 @@ class TestDeterministic:
         v = synthesize_deterministic(spec, 64 * 8)
         assert float(np.var(v)) == pytest.approx(spec.variance, rel=1e-9)
 
+    @pytest.mark.parametrize("freqs", [(16,), (3, 29), (2, 2), (0,), (32,), (-3, 3), (1, 33)],
+                             ids=str)
+    def test_aliasing_tones_rejected(self, freqs):
+        # on integer t, k and P - k give the same bin, P/2 and P are not tones at all, and
+        # K*A^2/2 would then misstate the variance: (3, 29) at P = 32 is one tone twice
+        with pytest.raises(ValueError, match=r"alias at period 32: each frequency"):
+            DeterministicSpec(base_amplitude=1.0, freqs=freqs, phases=(0.5,) * len(freqs),
+                              period=32)
+
+    def test_whole_period_variance_of_every_accepted_tone_set(self, rng):
+        # the rule admits tones past P/2 and negative ones when their bins stay distinct
+        accepted = 0
+        for _ in range(200):
+            period = int(rng.integers(3, 40))
+            K = int(rng.integers(1, 4))
+            freqs = tuple(int(k) for k in rng.integers(-2 * period, 2 * period, size=K))
+            phases = tuple(rng.uniform(0, 2 * math.pi, K))
+            try:
+                spec = DeterministicSpec(base_amplitude=1.0, freqs=freqs, phases=phases,
+                                         period=period)
+            except ValueError:
+                continue
+            accepted += 1
+            v = synthesize_deterministic(spec, period * 4)
+            assert float(np.var(v)) == pytest.approx(spec.variance, rel=1e-9), (freqs, period)
+        assert accepted > 50
+
     def test_validation(self):
         with pytest.raises(ValueError, match="frequency"):
             DeterministicSpec(base_amplitude=1.0, freqs=(0,), phases=(0.0,), period=16)
@@ -408,6 +435,17 @@ class TestJsonSchema:
         message = re.escape(f"{section} missing field(s): ['{drop}']")
         with pytest.raises(ValueError, match=message):
             hybrid_spec_from_dict(obj)
+
+    @pytest.mark.parametrize("kind", FAMILIES)
+    def test_to_dict_inverts_from_dict(self, kind):
+        # JSON keys (poisson's "lambda"), nested specs and the innovation's kind
+        obj = self.doc()
+        del obj["det"]["K"]
+        obj["ar"]["innovation"] = INNOVATION_DOCS[kind]
+        spec = hybrid_spec_from_dict(obj)
+        assert json.loads(json.dumps(to_dict(spec))) == obj
+        assert hybrid_spec_from_dict(to_dict(spec)) == spec
+        assert to_dict(HybridSpec(ar=spec.ar, length=3))["det"] is None
 
     def test_innovation_kind_required(self):
         obj = self.doc()

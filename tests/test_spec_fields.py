@@ -41,8 +41,7 @@ NUMERIC_FIELDS = {
                     "split": "float", "check_gradients": "bool"},
     "GridSpec": {"ssnr_x_values": "tuple[float, ...]", "horizons": "tuple[int, ...]",
                  "history": "int", "series_length": "int", "replications": "int", "seed": "int",
-                 "ssnr_z": "float", "sigma_eps2": "float", "det_harmonics": "int",
-                 "det_fmax": "int", "det_period": "int"},
+                 "det_harmonics": "int", "det_fmax": "int", "det_period": "int"},
 }
 NON_NUMERIC = {"str", "ARSpec", "InnovationDist", "DeterministicSpec | None", "LossSpec"}
 CLASSES = (Binomial, Geometric, Gaussian, Poisson, StudentT, Uniform, ARSpec, DeterministicSpec,
@@ -58,14 +57,16 @@ def test_annotations_are_cast_or_non_numeric(cls):
 
 
 # the subcommands whose document holds each class, and where: `generate --spec` reads a
-# process spec, `eob --spec` its "ar" block, and `simulate --grid` a grid config
+# process spec, `eob --spec` its "ar" block, and `simulate --grid` a grid config, whose
+# grid holds an "ar" block of its own
 FAMILIES = {"Binomial": "binomial", "Geometric": "geometric", "Gaussian": "gaussian",
             "Poisson": "poisson", "StudentT": "student_t", "Uniform": "uniform"}
-PLACES = {**{cls: (("generate", "eob"), ("ar", "innovation")) for cls in FAMILIES},
-          "ARSpec": (("generate", "eob"), ("ar",)), "DeterministicSpec": (("generate",), ("det",)),
-          "HybridSpec": (("generate",), ()), "GridSpec": (("simulate",), ("grid",)),
-          "ModelSpec": (("simulate",), ("model",)), "TrainConfig": (("simulate",), ("train",)),
-          "LossSpec": (("simulate",), ("loss",))}
+PLACES = {**{cls: {"generate": ("ar", "innovation"), "eob": ("innovation",),
+                   "simulate": ("grid", "ar", "innovation")} for cls in FAMILIES},
+          "ARSpec": {"generate": ("ar",), "eob": (), "simulate": ("grid", "ar")},
+          "DeterministicSpec": {"generate": ("det",)}, "HybridSpec": {"generate": ()},
+          "GridSpec": {"simulate": ("grid",)}, "ModelSpec": {"simulate": ("model",)},
+          "TrainConfig": {"simulate": ("train",)}, "LossSpec": {"simulate": ("loss",)}}
 PROCESS_SPEC = {"ar": {"c": 0.0, "phi": [0.6], "innovation": INNOVATION_DOCS["gaussian"],
                        "sigma_eps2": 0.25},
                 "det": {"base_amplitude": 1.5, "freqs": [2, 7], "phases": [0.3, 1.1],
@@ -74,8 +75,8 @@ PROCESS_SPEC = {"ar": {"c": 0.0, "phi": [0.6], "innovation": INNOVATION_DOCS["ga
 GRID_CONFIG = {
     "schema_version": 1,
     "grid": {"ssnr_x_values": [32.0, 96.0], "horizons": [16], "history": 16,
-             "series_length": 700, "replications": 1, "seed": 0, "ssnr_z": 32.0,
-             "sigma_eps2": 0.25, "det_harmonics": 3, "det_fmax": 15, "det_period": 32},
+             "series_length": 700, "replications": 1, "seed": 0, "ar": PROCESS_SPEC["ar"],
+             "det_harmonics": 3, "det_fmax": 15, "det_period": 32},
     "model": {"kind": "linear", "hidden": 8, "init_seed": 0},
     "train": {"lr": 1e-3, "max_epochs": 2, "patience": 2, "batch_size": 32, "split": 0.7,
               "check_gradients": False},
@@ -84,7 +85,7 @@ GRID_CONFIG = {
 }
 FIELD_CASES = [(command, cls, key, annotation)
                for cls, numeric in NUMERIC_FIELDS.items() if cls != "HarmonizedConfig"
-               for key, annotation in numeric.items() for command in PLACES[cls][0]]
+               for key, annotation in numeric.items() for command in PLACES[cls]]
 
 NON_FINITE = ("NaN", "Infinity", "-Infinity", "1e999", "-1e999")
 _text = st.text(max_size=8).map(json.dumps)
@@ -126,16 +127,15 @@ def workdir(tmp_path_factory):
 def test_bad_value_exits_1_naming_the_field(command, cls, key, annotation, workdir, data):
     raw = data.draw(_bad[annotation], label="raw")
     doc = json.loads(json.dumps(GRID_CONFIG if command == "simulate" else PROCESS_SPEC))
+    ar = doc["grid"]["ar"] if command == "simulate" else doc["ar"]
     if cls in FAMILIES:
-        doc["ar"]["innovation"] = dict(INNOVATION_DOCS[FAMILIES[cls]])
-    if command == "eob":
-        doc = doc["ar"]
-    section = doc
-    for name in PLACES[cls][1][command == "eob":]:
+        ar["innovation"] = dict(INNOVATION_DOCS[FAMILIES[cls]])
+    section = ar if command == "eob" else doc
+    for name in PLACES[cls][command]:
         section = section[name]
     section[key] = "@BAD@"
     path = workdir / f"{command}.json"
-    path.write_text(json.dumps(doc).replace('"@BAD@"', raw))
+    path.write_text(json.dumps(ar if command == "eob" else doc).replace('"@BAD@"', raw))
     argv = {"generate": ("generate", "--spec", str(path)),
             "eob": ("eob", "--spec", str(path), "--T", "16"),
             "simulate": ("simulate", "--grid", str(path), "--jobs", "1")}[command]
