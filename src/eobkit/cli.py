@@ -145,13 +145,24 @@ def _write_csv(rows: list[list[str]], path: str | None) -> None:
         log.info("wrote %s", path)
 
 
+# eob's flags that only one AR-core source reads, under the dest of that source
+_EOB_SOURCE_FLAGS = {"phi": ("--sigma-eps2", "--noise"), "estimate": ("--input", "--order")}
+
+
 def _cmd_eob(args: argparse.Namespace) -> int:
+    for source, flags in _EOB_SOURCE_FLAGS.items():
+        for flag in flags:
+            if getattr(args, flag[2:].replace("-", "_")) is not None and not getattr(args, source):
+                raise ValueError(f"{flag} requires --{source}")
     if args.estimate:
+        if args.bits:
+            raise ValueError("--bits is not allowed with --estimate")
         if args.input is None:
             raise ValueError("--estimate requires --input series.csv")
+        order = 1 if args.order is None else args.order
         series = _read_series(args.input)
-        ssnr = diagnostics.estimate_ssnr(series, order=args.order)
-        out = {"ssnr_estimate": ssnr, "order": args.order, "n": int(series.shape[0])}
+        ssnr = diagnostics.estimate_ssnr(series, order=order)
+        out = {"ssnr_estimate": ssnr, "order": order, "n": int(series.shape[0])}
         if args.T is not None:
             if args.T < 1:
                 raise ValueError(f"--T must be >= 1, got {args.T}")
@@ -162,9 +173,9 @@ def _cmd_eob(args: argparse.Namespace) -> int:
     if args.spec is not None:
         spec = ar_spec_from_dict(_load_json(args.spec))
     elif args.phi is not None:
-        sigma = args.sigma_eps2
-        spec = ARSpec(c=0.0, phi=tuple(args.phi),
-                      innovation=calibrate_innovation(args.noise, sigma), sigma_eps2=sigma)
+        sigma = 0.25 if args.sigma_eps2 is None else args.sigma_eps2
+        spec = ARSpec(c=0.0, phi=tuple(args.phi), sigma_eps2=sigma,
+                      innovation=calibrate_innovation(args.noise or "gaussian", sigma))
     else:
         raise ValueError("eob requires --spec FILE or --phi ... (or --estimate)")
     if args.T is None:
@@ -319,12 +330,16 @@ def build_parser() -> argparse.ArgumentParser:
                         help="AR coefficients (alternative to --spec)")
     source.add_argument("--estimate", action="store_true",
                         help="estimate SSNR from a series instead of using a spec")
-    p.add_argument("--sigma-eps2", type=float, default=0.25, dest="sigma_eps2")
-    p.add_argument("--noise", default="gaussian", choices=sorted(_INNOVATION_KINDS))
+    p.add_argument("--sigma-eps2", type=float, default=None, dest="sigma_eps2",
+                   help="innovation variance (with --phi; default 0.25)")
+    p.add_argument("--noise", default=None, choices=sorted(_INNOVATION_KINDS),
+                   help="innovation family (with --phi; default gaussian)")
     p.add_argument("--T", type=int, default=None, help="window length")
-    p.add_argument("--bits", action="store_true", help="also report the value in bits")
+    p.add_argument("--bits", action="store_true",
+                   help="also report the value in bits (not with --estimate)")
     p.add_argument("--input", default=None, help="series CSV (with --estimate)")
-    p.add_argument("--order", type=int, default=1, help="fit order (with --estimate)")
+    p.add_argument("--order", type=int, default=None,
+                   help="fit order (with --estimate; default 1)")
     p.add_argument("--out", default=None, help="output JSON (default stdout)")
     p.set_defaults(fn=_cmd_eob)
 

@@ -497,10 +497,11 @@ def run_grid(grid: GridSpec, model: ModelSpec, cfg: TrainConfig,
     """Train one model per (SSNR_x, horizon, replication) cell.
 
     Each cell owns an RNG sub-stream keyed by its index, so the output is
-    identical whatever the worker count. Cell failures are recorded and the
-    sweep continues. A worker count below 1, a DWT loss whose 2^levels does not
-    divide a horizon, or a split of series_length too short for two training
-    windows or one test window of history + horizon samples, fails up front.
+    identical whatever the worker count; pooled workers run numpy's OpenBLAS on
+    one thread each. Cell failures are recorded and the sweep continues. A worker
+    count below 1, a DWT loss whose 2^levels does not divide a horizon, or a split
+    of series_length too short for two training windows or one test window of
+    history + horizon samples, fails up front.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -523,7 +524,8 @@ def run_grid(grid: GridSpec, model: ModelSpec, cfg: TrainConfig,
 
     records: list[CellRecord] = []
     failures: list[tuple[str, str]] = []
-    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+    with (ProcessPoolExecutor(max_workers=jobs, initializer=_one_blas_thread) if jobs > 1
+          else nullcontext()) as pool:
         outcomes = (pool.map if pool else map)(_run_cell_safe, tasks)
         for task, (record, error) in zip(tasks, outcomes):
             if record is not None:
@@ -532,6 +534,28 @@ def run_grid(grid: GridSpec, model: ModelSpec, cfg: TrainConfig,
                 failures.append((f"ssnr_x={task[3]:g},h={task[4]},rep={task[5]}", error))
     records.sort(key=lambda r: (r.point.ssnr_x, r.point.horizon, r.point.replication))
     return GridResult(records=records, failures=failures)
+
+
+def _one_blas_thread() -> None:
+    """Pool initializer: numpy's OpenBLAS runs one thread in each grid worker.
+
+    A worker trains one cell at a time, so BLAS threads of its own only contend with the
+    other workers for the cores. The setter is looked up through the handle of numpy's
+    linalg extension, which reaches the OpenBLAS it links: the scipy-openblas64 bundled
+    in numpy's wheels, or a plain OpenBLAS. Any other BLAS is left as it is, and so is
+    the parent's.
+    """
+    import ctypes
+
+    from numpy.linalg import _umath_linalg
+
+    blas = ctypes.CDLL(_umath_linalg.__file__)
+    for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads"):
+        setter = getattr(blas, name, None)
+        if setter is not None:
+            setter.argtypes, setter.restype = (ctypes.c_int,), None
+            setter(1)
+            return
 
 
 def _run_cell_safe(args: tuple):

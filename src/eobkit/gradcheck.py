@@ -36,23 +36,21 @@ SMOOTH_TOL = 1e-5
 KINKED_TOL = 1e-4
 # the probe stack of one L = 128 instance: 2L rows of L values
 PROBE_VALUES_PER_CALL = 32_768
+H_SCALE = 1e-6
 
 
-def central_difference(fn: Callable[[np.ndarray], np.ndarray], x_hat: np.ndarray,
-                       h_scale: float = 1e-6, *, out: np.ndarray | None = None) -> np.ndarray:
+def central_difference(fn: Callable[[np.ndarray], np.ndarray], x_hat: np.ndarray) -> np.ndarray:
     """Central finite differences of a per-row function of an (..., L) prediction.
 
-    Each row gets its own step h = h_scale * max(1, max|row|). `fn` gets every
+    Each row gets its own step h = H_SCALE * max(1, max|row|). `fn` gets every
     probe in one call, as an (..., 2L, L) stack: for each row, the rows
     row + h*e_i, then the rows row - h*e_i. It returns their (..., 2L) values.
     The stack is one copy of the row per probe with the steps added on its two
-    diagonals. It is built in `out` when given, an array of the stack's shape,
-    so that a caller scoring many stacks allocates one.
+    diagonals.
     """
     L = x_hat.shape[-1]
-    h = h_scale * np.maximum(1.0, np.max(np.abs(x_hat), axis=-1, keepdims=True))
-    probes = np.empty(x_hat.shape[:-1] + (2 * L, L)) if out is None else out
-    probes[...] = x_hat[..., None, :]
+    h = H_SCALE * np.maximum(1.0, np.max(np.abs(x_hat), axis=-1, keepdims=True))
+    probes = np.repeat(x_hat[..., None, :], 2 * L, axis=-2)
     i = np.arange(L)
     probes[..., i, i] += h
     probes[..., L + i, i] -= h
@@ -246,16 +244,13 @@ def _score(case: GradCase, x: np.ndarray, x_hat: np.ndarray,
     n, L = x_hat.shape
     analytic = case.loss(x, x_hat, *mags).grad_wrt_prediction
     block = max(1, PROBE_VALUES_PER_CALL // (2 * L * L))
-    # one probe buffer for every block: a fresh stack per call costs a page fault
-    # per 4 kB whenever the allocator has handed the last one back to the system
-    stack = np.empty((min(block, n), 2 * L, L))
     worst = 0.0
     for start in range(0, n, block):
         rows = slice(start, start + block)
         # the target and magnitudes of each instance broadcast over its 2L probes
         x_rows, mag_rows = x[rows, None], tuple(m[rows, None] for m in mags)
         fd = central_difference(lambda probes: case.loss(x_rows, probes, *mag_rows).value,
-                                x_hat[rows], out=stack[:len(x_rows)])
+                                x_hat[rows])
         worst = np.maximum(worst, np.max(relative_error(analytic[rows], fd)))  # NaN wins
     return float(worst)
 

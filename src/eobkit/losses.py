@@ -286,10 +286,16 @@ def freq_real_imag_l1(x: np.ndarray, x_hat: np.ndarray) -> LossEval:
 # ---------------------------------------------------------------------------
 
 def _wrap_phase(delta: np.ndarray) -> np.ndarray:
-    """Wrap angle differences into (-pi, pi]."""
-    wrapped = np.mod(delta + math.pi, 2.0 * math.pi) - math.pi
-    wrapped = np.where(wrapped == -math.pi, math.pi, wrapped)
-    return wrapped
+    """Wrap differences of two np.angle values into (-pi, pi].
+
+    a = delta + pi lies in [-pi, 3pi], so one shift by 2pi brings it into [0, 2pi)
+    and gives np.mod(a, 2pi) bit for bit: a - 2pi is exact for a >= 2pi (Sterbenz),
+    and a + 2pi for a < 0 is the sum np.mod itself rounds.
+    """
+    a = delta + math.pi
+    a = np.where(a >= 2.0 * math.pi, a - 2.0 * math.pi, np.where(a < 0.0, a + 2.0 * math.pi, a))
+    wrapped = a - math.pi
+    return np.where(wrapped == -math.pi, math.pi, wrapped)
 
 
 def _amp_phase_of(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -109,6 +109,23 @@ class TestEob:
         assert captured.out == "" and "not allowed with argument" in captured.err
         assert not out.exists()
 
+    # each flag given with the value it defaults to: naming it at all is the error
+    @pytest.mark.parametrize("argv,flag", [
+        (("--spec", "SPEC", "--sigma-eps2", "0.25"), "--sigma-eps2 requires --phi"),
+        (("--spec", "SPEC", "--noise", "gaussian"), "--noise requires --phi"),
+        (("--phi", "0.6", "--input", "SERIES"), "--input requires --estimate"),
+        (("--phi", "0.6", "--order", "1"), "--order requires --estimate"),
+        (("--estimate", "--input", "SERIES", "--bits"), "--bits is not allowed with --estimate"),
+    ], ids=["sigma-eps2", "noise", "input", "order", "bits"])
+    def test_flags_of_another_source_rejected(self, argv, flag, ar_spec_file, tmp_path, capsys):
+        series, out = tmp_path / "series.csv", tmp_path / "eob.json"
+        series.write_text("value\n" + "\n".join(str(math.sin(i)) for i in range(64)) + "\n")
+        argv = [{"SPEC": ar_spec_file, "SERIES": str(series)}.get(a, a) for a in argv]
+        assert run_cli("eob", *argv, "--T", "16", "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and flag in captured.err
+        assert not out.exists()
+
 
 class TestNegativeInputs:
     @pytest.mark.parametrize("command", [("generate", "--spec", "SPEC"), ("loss-check",),

@@ -1,8 +1,11 @@
+import ctypes
 import math
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 from scipy import stats
 
 from eobkit import experiments, transforms
@@ -16,6 +19,17 @@ from eobkit.losses import HarmonizedConfig
 from eobkit.processes import (ARSpec, DeterministicSpec, Gaussian, ar_spec_from_dict, from_dict,
                               simulate_ar)
 from eobkit.theory import solve_yule_walker
+
+
+def openblas_threads() -> int | None:
+    """The thread count of the OpenBLAS numpy links, or None without OpenBLAS's getter."""
+    blas = ctypes.CDLL(_umath_linalg.__file__)
+    for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+        if hasattr(blas, name):
+            getter = getattr(blas, name)
+            getter.argtypes, getter.restype = (), ctypes.c_int
+            return getter()
+    return None
 
 
 def ar1(phi=0.6):
@@ -214,6 +228,16 @@ class TestRunGrid:
         parallel = run_grid(grid, model, tiny_cfg(), jobs=2)
         assert serial.records == parallel.records
         assert serial.points == parallel.points
+
+    def test_pool_pins_workers_and_leaves_the_parents_blas_threads(self):
+        before = openblas_threads()
+        if before is None:
+            pytest.skip("numpy's BLAS has no OpenBLAS thread-count getter")
+        result = run_grid(tiny_grid(), ModelSpec(kind="linear"), tiny_cfg(), jobs=2)
+        assert result.records and not result.failures
+        assert openblas_threads() == before
+        with ProcessPoolExecutor(max_workers=1, initializer=experiments._one_blas_thread) as pool:
+            assert pool.submit(openblas_threads).result() == 1
 
     def test_parallel_matches_serial_on_dwt_loss(self):
         grid = tiny_grid()

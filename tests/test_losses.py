@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eobkit import gradcheck, transforms
+from eobkit import gradcheck, losses, transforms
 from eobkit.processes import make_rng
 from eobkit.losses import (EmaMagnitudes, HarmonizedConfig, freq_amp_phase,
                            freq_error_amp_phase, freq_real_imag_l1, freq_real_imag_l2,
@@ -100,6 +100,18 @@ class TestAmpPhase:
         ev = freq_amp_phase(x, x_hat, "l2")
         assert np.all(np.isfinite(ev.grad_wrt_prediction))
         assert ev.parts["phase"].value == 0.0
+
+    def test_phase_wrap_matches_mod_bit_for_bit(self, rng):
+        def mod_wrap(delta):
+            wrapped = np.mod(delta + math.pi, 2.0 * math.pi) - math.pi
+            return np.where(wrapped == -math.pi, math.pi, wrapped)
+
+        z = rng.normal(size=(2, 100_000)) + 1j * rng.normal(size=(2, 100_000))
+        edges = np.array([math.pi, -math.pi, 0.0, -0.0])
+        for a, b in [(np.angle(z[0]), np.angle(z[1])), np.meshgrid(edges, edges)]:
+            delta = a - b
+            np.testing.assert_array_equal(losses._wrap_phase(delta).view(np.int64),
+                                          mod_wrap(delta).view(np.int64))
 
 
 class TestErrorAmpPhase:
