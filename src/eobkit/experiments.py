@@ -304,9 +304,14 @@ def make_window_pairs(series: np.ndarray, history: int,
     return both[:, :history], both[:, history:]
 
 
-def _grad_check_at_init(model: _Model, X: np.ndarray, Y: np.ndarray,
-                        n_coords: int = 32, tol: float = 1e-4) -> float:
-    """FD-verify the backprop under the squared loss at init, n_coords coordinates per tensor."""
+# the backprop check at init: coordinates drawn per parameter tensor, and the largest
+# relative error it accepts
+GRAD_CHECK_COORDS = 32
+GRAD_CHECK_TOL = 1e-4
+
+
+def _grad_check_at_init(model: _Model, X: np.ndarray, Y: np.ndarray) -> float:
+    """FD-verify the backprop under the squared loss at init, GRAD_CHECK_COORDS per tensor."""
     Xb, Yb = X[:16], Y[:16]
     pred, cache = model._forward(Xb)
     grads = model._backward(cache, -2.0 * (Yb - pred))
@@ -314,7 +319,7 @@ def _grad_check_at_init(model: _Model, X: np.ndarray, Y: np.ndarray,
     worst = 0.0
     for name in sorted(grads):
         flat = model.params[name].reshape(-1)
-        idx = rng.choice(flat.size, size=min(n_coords, flat.size), replace=False)
+        idx = rng.choice(flat.size, size=min(GRAD_CHECK_COORDS, flat.size), replace=False)
         keep = flat[idx].copy()
 
         def objective(probes: np.ndarray) -> np.ndarray:
@@ -327,10 +332,10 @@ def _grad_check_at_init(model: _Model, X: np.ndarray, Y: np.ndarray,
 
         fd = central_difference(objective, keep)
         worst = np.maximum(worst, relative_error(grads[name].reshape(-1)[idx], fd))  # NaN wins
-    if not worst <= tol:
+    if not worst <= GRAD_CHECK_TOL:
         raise GradientCheckError(
             f"analytic gradient disagrees with finite differences "
-            f"(max rel err {worst:.3e} > {tol:g})")
+            f"(max rel err {worst:.3e} > {GRAD_CHECK_TOL:g})")
     return float(worst)
 
 
@@ -497,11 +502,12 @@ def run_grid(grid: GridSpec, model: ModelSpec, cfg: TrainConfig,
     """Train one model per (SSNR_x, horizon, replication) cell.
 
     Each cell owns an RNG sub-stream keyed by its index, so the output is
-    identical whatever the worker count; pooled workers run numpy's OpenBLAS on
-    one thread each. Cell failures are recorded and the sweep continues. A worker
-    count below 1, a DWT loss whose 2^levels does not divide a horizon, or a split
-    of series_length too short for two training windows or one test window of
-    history + horizon samples, fails up front.
+    identical whatever the worker count; the pool has at most one worker per
+    cell, and each runs numpy's OpenBLAS on one thread. Cell failures are
+    recorded and the sweep continues. A worker count below 1, a DWT loss whose
+    2^levels does not divide a horizon, or a split of series_length too short
+    for two training windows or one test window of history + horizon samples,
+    fails up front.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -524,7 +530,9 @@ def run_grid(grid: GridSpec, model: ModelSpec, cfg: TrainConfig,
 
     records: list[CellRecord] = []
     failures: list[tuple[str, str]] = []
-    with (ProcessPoolExecutor(max_workers=jobs, initializer=_one_blas_thread) if jobs > 1
+    # the pool forks all of its workers at the first submit, so never more than one per cell
+    workers = min(jobs, len(tasks))
+    with (ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) if workers > 1
           else nullcontext()) as pool:
         outcomes = (pool.map if pool else map)(_run_cell_safe, tasks)
         for task, (record, error) in zip(tasks, outcomes):

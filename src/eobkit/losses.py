@@ -4,7 +4,8 @@ Conventions shared by every loss here:
 
 * signature is (target, prediction); the reported gradient is taken with
   respect to the prediction and lives in the temporal domain;
-* sgn(0) = 0 (subgradient choice at kinks);
+* sgn(0) = 0 (subgradient choice at kinks), and an empty bin's unit phasor
+  is 1, the phasor of its phase 0;
 * spectra use the unitary DFT, and sums run over all L complex bins --
   conjugate-symmetric pairs are double counted uniformly, a constant
   factor that does not move any minimizer. A real signal's spectrum is
@@ -15,25 +16,27 @@ Conventions shared by every loss here:
   and `coefficient_magnitudes` stay full;
 * phase terms exclude bins whose predicted (or error) amplitude falls
   below the configured eps, since the phase gradient carries a 1/amplitude
-  factor that blows up on empty bins.
+  factor that blows up on empty bins; amplitude terms keep every bin.
 
-Gradients of coefficient-domain losses are pulled back to the temporal
-domain through the transform adjoint: for the half spectrum that is
-`transforms._rdft_synthesis` (an inverse real FFT, which carries the
-multiplicities) applied to the per-bin gradient (d/dRe + j*d/dIm), and for
-orthogonal real transforms it is the inverse transform itself.
+One penalty rule serves every loss: pen(r) = r^2 or |r| (`_penalty`) with
+pen'(r) = 2r or sgn r (`_penalty_grad`), so l2 gradients scale with the
+residual and l1 gradients have constant magnitude. Two kernels apply it.
+`_coefficient_loss`, sum_k w_k pen(d_k) over the coefficients d of the
+residual x - x_hat transformed once, is eight losses: temporal (identity,
+w = 1), real/imaginary (DFT, w = 1), harmonized (DFT, DWT or identity,
+magnitude weights) and whitened (DFT only, w = 1/f_bar^p). `_polar_loss`
+penalizes an amplitude and a phase residual of one reference half
+spectrum, the prediction's or the error's. Gradients are pulled back
+through the transform adjoint: `transforms._rdft_synthesis` (an inverse
+real FFT, which carries the multiplicities) of the per-bin gradient
+(d/dRe + j*d/dIm) for the half spectrum, the inverse transform otherwise.
 
 All functions act on the last axis of (..., L) arrays and return values per
 row; the caller reduces over rows. The target broadcasts to the
 prediction's shape (same last axis), so one series is scored against a
-batch or a stack of finite-difference probes in one call. Eight losses are
-one kernel, sum_k w_k pen(d_k) over the coefficients d of the residual
-x - x_hat, which transforms the residual once: temporal (identity, w = 1),
-real/imaginary (DFT, w = 1), harmonized (any transform, magnitude weights)
-and whitened (w = 1/f_bar^p). Only the amplitude/phase losses, which are
-nonlinear in the coefficients, transform the target and the prediction
-apart. Values are computed at once and gradients on first access, so a
-caller that reads only values never runs the pullback.
+batch or a stack of finite-difference probes in one call. Values are
+computed at once and gradients on first access, so a caller that reads
+only values never runs the pullback.
 """
 
 from __future__ import annotations
@@ -84,8 +87,25 @@ class LossEval:
         return self._grad_fn()
 
 
+def _check_norm(norm: str) -> None:
+    if norm not in ("l1", "l2"):
+        raise ValueError(f"norm must be 'l1' or 'l2', got {norm!r}")
+
+
 def _penalty(r: np.ndarray, norm: str) -> np.ndarray:
     return r**2 if norm == "l2" else np.abs(r)
+
+
+def _penalty_grad(r: np.ndarray, norm: str) -> np.ndarray:
+    """pen'(r): 2r for l2, sgn r for l1, the latter on each of the real and imaginary parts.
+
+    2r is r + r, exact with the signs of zeros (2.0 * r multiplies a complex r by 2 + 0j).
+    """
+    if norm == "l2":
+        return r + r
+    if np.iscomplexobj(r):
+        return _penalty_grad(r.real, norm) + 1j * _penalty_grad(r.imag, norm)
+    return np.sign(r)
 
 
 def _sum_of_parts(parts: dict[str, LossEval]) -> LossEval:
@@ -147,8 +167,7 @@ class HarmonizedConfig:
 
     def __post_init__(self):
         _cast(self)
-        if self.norm not in ("l1", "l2"):
-            raise ValueError(f"norm must be 'l1' or 'l2', got {self.norm!r}")
+        _check_norm(self.norm)
         if self.transform not in ("dft", "dwt", "identity"):
             raise ValueError(f"transform must be dft, dwt or identity, got {self.transform!r}")
         transforms._check_dwt(self.wavelet, self.levels)
@@ -174,28 +193,13 @@ def _check_lengths(x: np.ndarray, x_hat: np.ndarray) -> tuple[np.ndarray, np.nda
     return x, x_hat
 
 
-def _forward_coeffs(x: np.ndarray, transform: str, wavelet: str, levels: int) -> np.ndarray:
-    """Coefficients of x under a real orthogonal transform (dwt or identity)."""
-    if transform == "dwt":
-        return transforms._dwt_analysis(x, wavelet, levels)
-    if transform == "identity":
-        return x
-    raise ValueError(f"transform must be dft, dwt or identity, got {transform!r}")
-
-
-def _pullback(g: np.ndarray, transform: str, wavelet: str, levels: int) -> np.ndarray:
-    """Temporal gradient from a coefficient gradient: the adjoint of _forward_coeffs."""
-    if transform == "dwt":
-        return transforms._dwt_synthesis(g, wavelet, levels)
-    return g
-
-
 def coefficient_magnitudes(x: np.ndarray, cfg: HarmonizedConfig) -> np.ndarray:
     """Per-bin magnitudes |f_k| of x under cfg.transform (complex modulus for dft)."""
     x = np.asarray(x, dtype=float)
     if cfg.transform == "dft":
         return np.abs(transforms.dft_forward(x))
-    return np.abs(_forward_coeffs(x, cfg.transform, cfg.wavelet, cfg.levels))
+    return np.abs(transforms._dwt_analysis(x, cfg.wavelet, cfg.levels)
+                  if cfg.transform == "dwt" else x)
 
 
 def _coefficient_loss(x: np.ndarray, x_hat: np.ndarray, weights: float | np.ndarray,
@@ -225,20 +229,15 @@ def _coefficient_loss(x: np.ndarray, x_hat: np.ndarray, weights: float | np.ndar
         value_weights = multiplicity * weights
         pen = _penalty(d.real, norm) + _penalty(d.imag, norm)
     else:
-        d = _forward_coeffs(x - x_hat, transform, wavelet, levels)
+        d = transforms._dwt_analysis(x - x_hat, wavelet, levels) if transform == "dwt" else x - x_hat
         value_weights = weights
         pen = _penalty(d, norm)
 
     def grad() -> np.ndarray:
-        if norm == "l2":
-            g = -2.0 * weights * d
-        elif np.iscomplexobj(d):
-            g = -weights * (np.sign(d.real) + 1j * np.sign(d.imag))
-        else:
-            g = -weights * np.sign(d)
+        g = -weights * _penalty_grad(d, norm)
         if transform == "dft":
             return transforms._rdft_synthesis(g, L)
-        return _pullback(g, transform, wavelet, levels)
+        return transforms._dwt_synthesis(g, wavelet, levels) if transform == "dwt" else g
 
     return LossEval(value=np.sum(value_weights * pen, axis=-1), _grad_fn=grad)
 
@@ -300,8 +299,35 @@ def _wrap_phase(delta: np.ndarray) -> np.ndarray:
 
 def _amp_phase_of(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     amp = np.abs(c)
-    phase = np.where(amp > 0.0, np.angle(c), 0.0)
-    return amp, phase
+    return amp, np.where(amp > 0.0, np.angle(c), 0.0)
+
+
+def _polar_loss(names: tuple[str, str], L: int, ref: np.ndarray, ref_amp: np.ndarray,
+                amp_res: np.ndarray, phase_res: np.ndarray, norm: str, eps: float) -> LossEval:
+    """Parts `names`: sum_k m_k pen(r_k) of an amplitude and a phase residual r of the
+    half spectrum ref, the phase part without the bins where |ref| < eps.
+
+    A residual is +-|ref| or +-arg ref plus terms free of the prediction, and ref moves
+    with the prediction by -+U (opposite signs), so the parts pull back -pen'(r) along
+    the unit phasor ref/|ref| and along d(arg ref)/d(Re, Im) = j ref/|ref|^2.
+    """
+    _check_norm(norm)
+    multiplicity = transforms._rdft_bins(L)[0]
+    alive = ref_amp >= eps
+    phase_res = np.where(alive, phase_res, 0.0)
+
+    def amp_grad() -> np.ndarray:
+        u = np.divide(ref, ref_amp, out=np.ones_like(ref), where=ref_amp > 0.0)
+        return transforms._rdft_synthesis(-_penalty_grad(amp_res, norm) * u, L)
+
+    def phase_grad() -> np.ndarray:
+        direction = np.divide(1j * ref, ref_amp**2, out=np.zeros_like(ref), where=alive)
+        return transforms._rdft_synthesis(-_penalty_grad(phase_res, norm) * direction, L)
+
+    def part(res: np.ndarray, grad: Callable[[], np.ndarray]) -> LossEval:
+        return LossEval(value=np.sum(multiplicity * _penalty(res, norm), axis=-1), _grad_fn=grad)
+
+    return _sum_of_parts(dict(zip(names, (part(amp_res, amp_grad), part(phase_res, phase_grad)))))
 
 
 def freq_amp_phase(x: np.ndarray, x_hat: np.ndarray, norm: str = "l2",
@@ -314,33 +340,12 @@ def freq_amp_phase(x: np.ndarray, x_hat: np.ndarray, norm: str = "l2",
     Both spectra are halved: amplitudes and wrapped phase gaps of bin L - k
     equal those of bin k up to sign, so each half bin counts m_k times.
     """
-    if norm not in ("l1", "l2"):
-        raise ValueError(f"norm must be 'l1' or 'l2', got {norm!r}")
     x, x_hat = _check_lengths(x, x_hat)
-    L = x_hat.shape[-1]
-    multiplicity = transforms._rdft_bins(L)[0]
     amp, phase = _amp_phase_of(transforms._rdft_analysis(x))
-    amp_hat, phase_hat = _amp_phase_of(transforms._rdft_analysis(x_hat))
-    amp_diff = amp - amp_hat
-    alive = amp_hat >= eps
-    phase_diff = np.where(alive, _wrap_phase(phase - phase_hat), 0.0)
-    amp_value = np.sum(multiplicity * _penalty(amp_diff, norm), axis=-1)
-    phase_value = np.sum(multiplicity * _penalty(phase_diff, norm), axis=-1)
-
-    def amp_grad() -> np.ndarray:
-        de_damp = -2.0 * amp_diff if norm == "l2" else -np.sign(amp_diff)
-        return transforms._rdft_synthesis(
-            de_damp * (np.cos(phase_hat) + 1j * np.sin(phase_hat)), L)
-
-    def phase_grad() -> np.ndarray:
-        de_dphase = -2.0 * phase_diff if norm == "l2" else -np.sign(phase_diff)
-        inv_amp = np.where(alive, 1.0 / np.where(alive, amp_hat, 1.0), 0.0)
-        # d(phase_hat)/d(re, im) = (-sin, cos)/amp_hat
-        return transforms._rdft_synthesis(
-            de_dphase * inv_amp * (-np.sin(phase_hat) + 1j * np.cos(phase_hat)), L)
-
-    return _sum_of_parts({"amplitude": LossEval(value=amp_value, _grad_fn=amp_grad),
-                          "phase": LossEval(value=phase_value, _grad_fn=phase_grad)})
+    c_hat = transforms._rdft_analysis(x_hat)
+    amp_hat, phase_hat = _amp_phase_of(c_hat)
+    return _polar_loss(("amplitude", "phase"), x_hat.shape[-1], c_hat, amp_hat,
+                       amp - amp_hat, _wrap_phase(phase - phase_hat), norm, eps)
 
 
 def freq_error_amp_phase(x: np.ndarray, x_hat: np.ndarray, norm: str = "l2",
@@ -356,33 +361,11 @@ def freq_error_amp_phase(x: np.ndarray, x_hat: np.ndarray, norm: str = "l2",
     The error spectrum is halved, each bin counting m_k times, as in
     freq_amp_phase.
     """
-    if norm not in ("l1", "l2"):
-        raise ValueError(f"norm must be 'l1' or 'l2', got {norm!r}")
     x, x_hat = _check_lengths(x, x_hat)
-    L = x_hat.shape[-1]
-    multiplicity = transforms._rdft_bins(L)[0]
     fe = transforms._rdft_analysis(x - x_hat)
     err_amp, err_phase = _amp_phase_of(fe)
-    alive = err_amp >= eps
-    phase_term = np.where(alive, err_phase, 0.0)
-    amp_value = np.sum(multiplicity * _penalty(err_amp, norm), axis=-1)
-    phase_value = np.sum(multiplicity * _penalty(phase_term, norm), axis=-1)
-
-    def amp_grad() -> np.ndarray:
-        if norm == "l2":
-            # identical to the temporal squared error; gradient -2(x - x_hat)
-            return -transforms._rdft_synthesis(2.0 * fe, L)
-        return -transforms._rdft_synthesis(np.where(alive, np.exp(1j * err_phase), 0.0), L)
-
-    def phase_grad() -> np.ndarray:
-        de_dphase = 2.0 * phase_term if norm == "l2" else np.sign(phase_term)
-        inv_amp2 = np.where(alive, 1.0 / np.where(alive, err_amp**2, 1.0), 0.0)
-        # d(err_phase)/d(fe) = (-Im fe, Re fe)/|fe|^2 and d(fe)/d(x_hat) = -U
-        return -transforms._rdft_synthesis(
-            de_dphase * inv_amp2 * (-fe.imag + 1j * fe.real), L)
-
-    return _sum_of_parts({"error_amplitude": LossEval(value=amp_value, _grad_fn=amp_grad),
-                          "error_phase": LossEval(value=phase_value, _grad_fn=phase_grad)})
+    return _polar_loss(("error_amplitude", "error_phase"), x_hat.shape[-1], fe, err_amp,
+                       err_amp, err_phase, norm, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -417,17 +400,16 @@ def harmonized_l1(x: np.ndarray, x_hat: np.ndarray, ema: EmaMagnitudes,
 
 
 def whitened_loss(x: np.ndarray, x_hat: np.ndarray, f_bar: np.ndarray,
-                  norm: str = "l2", transform: str = "dft") -> LossEval:
-    """Strict per-bin whitening: weights 1/f_bar^2 (l2) or 1/f_bar (l1).
+                  norm: str = "l2") -> LossEval:
+    """Strict per-bin whitening over the DFT: weights 1/f_bar^2 (l2) or 1/f_bar (l1).
 
     Theoretically unbiased but practically pathological: magnitudes near
     zero on noise-dominated bins make the weights explode, which is why
     this exists as a baseline rather than a recommendation. Zero
     magnitudes are rejected outright.
     """
-    if norm not in ("l1", "l2"):
-        raise ValueError(f"norm must be 'l1' or 'l2', got {norm!r}")
+    _check_norm(norm)
     f_bar = np.asarray(f_bar, dtype=float)
     if np.any(f_bar <= 0.0):
         raise ValueError("whitened loss requires strictly positive magnitudes for every bin")
-    return _coefficient_loss(x, x_hat, 1.0 / f_bar ** (2 if norm == "l2" else 1), norm, transform)
+    return _coefficient_loss(x, x_hat, 1.0 / f_bar ** (2 if norm == "l2" else 1), norm, "dft")

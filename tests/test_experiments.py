@@ -239,6 +239,31 @@ class TestRunGrid:
         with ProcessPoolExecutor(max_workers=1, initializer=experiments._one_blas_thread) as pool:
             assert pool.submit(openblas_threads).result() == 1
 
+    @pytest.mark.parametrize("cells,jobs,workers", [(2, 4, 2), (2, 2, 2), (1, 4, None),
+                                                    (2, 1, None)])
+    def test_pool_has_at_most_one_worker_per_cell(self, cells, jobs, workers, monkeypatch):
+        started = []
+
+        class RecordingPool:
+            """Records max_workers and runs the cells in this process."""
+
+            def __init__(self, max_workers, initializer):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        grid = tiny_grid(ssnr_x_values=(32.0, 64.0)[:cells])
+        result = run_grid(grid, ModelSpec(kind="linear"), tiny_cfg(max_epochs=1), jobs=jobs)
+        assert len(result.records) == cells and not result.failures
+        assert started == ([] if workers is None else [workers])
+
     def test_parallel_matches_serial_on_dwt_loss(self):
         grid = tiny_grid()
         model = ModelSpec(kind="linear")
