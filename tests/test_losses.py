@@ -193,6 +193,16 @@ class TestPenaltyRule:
         np.testing.assert_array_equal(ev.grad_wrt_prediction.view(np.int64),
                                       want.view(np.int64))
 
+    @pytest.mark.parametrize("loss", [
+        freq_amp_phase, freq_error_amp_phase,
+        lambda x, x_hat, norm: whitened_loss(x, x_hat, np.ones(x.shape[-1]), norm),
+    ], ids=["amp_phase", "error_amp_phase", "whitened"])
+    @pytest.mark.parametrize("norm", ["l3", "L1"])
+    def test_unknown_norm_rejected_with_one_message(self, loss, norm, rng):
+        x, x_hat = rng.normal(size=8), rng.normal(size=8)
+        with pytest.raises(ValueError, match=f"^norm must be 'l1' or 'l2', got '{norm}'$"):
+            loss(x, x_hat, norm)
+
 
 class TestHarmonized:
     @pytest.mark.parametrize("norm,transform,harmonized,plain", [
