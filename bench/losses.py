@@ -21,6 +21,10 @@ The oracle row times the whole finite-difference check at one length:
 L = 8, 32 and 128 (33 is the share of each length in `loss-check`'s default
 100 instances), reported in seconds per checked instance: the loop's time
 over its 33 instances of each of the 14 cases.
+
+The draw row times the suite's instance draws alone at the same lengths: every
+case block-draws its 33 instances as the suite does, `make_pair(rng, L, (33,))`
+then `draw(rng, L, (33,))`, reported in seconds per drawn instance.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ def case_inputs(np, case, rows: int, L: int, rng):
         steps = 1e-6 * np.eye(L)
         x_hat = np.concatenate([x_hat + steps, x_hat - steps])
     else:
-        x, x_hat = (np.stack(a) for a in zip(*(case.make_pair(rng, L) for _ in range(rows))))
+        x, x_hat = case.make_pair(rng, L, (rows,))
     return x, x_hat, case.make_loss(rng, L)
 
 
@@ -54,6 +58,13 @@ def loop(read: str, loss, x, x_hat, calls: int) -> None:
     """calls calls of loss(x, x_hat), each reading the attribute `read` of its result."""
     for _ in range(calls):
         getattr(loss(x, x_hat), read)
+
+
+def draw_blocks(cases, L: int, n: int, rng) -> None:
+    """Every case's block of n instances at length L: pairs, then magnitudes."""
+    for case in cases:
+        case.make_pair(rng, L, (n,))
+        case.draw(rng, L, (n,))
 
 
 def measure() -> tuple[dict, dict]:
@@ -75,6 +86,8 @@ def measure() -> tuple[dict, dict]:
         loops["oracle_s_per_instance", L] = (
             partial(gradcheck.run_gradient_suite, lengths=(L,), instances=ORACLE_INSTANCES,
                     seed=0), instances, "s")
+        loops["draw_s_per_instance", L] = (
+            partial(draw_blocks, gradcheck.LOSS_CASES, L, ORACLE_INSTANCES, rng), instances, "s")
 
     return common.time_table(loops), dict(
         shapes={shape: {"rows": rows, "length": L, "calls_per_loop": calls}

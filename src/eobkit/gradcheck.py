@@ -6,8 +6,10 @@ losses away from their non-differentiable points and phase losses away
 from empty bins), the analytic gradient is compared coordinate-wise
 against (f(x+h) - f(x-h)) / 2h, and the worst relative error is reported.
 
-Instances are drawn one at a time, then scored as a stack per loss and
-length: the analytic gradient is one call on the (n, L) block, and the
+The n instances of each loss and length are drawn as one (n, L) block
+(the spectral and polar pairs assemble their Hermitian spectra and run
+their inverse DFT once, on the block's last axis) and scored as that
+block: the analytic gradient is one call on the (n, L) block, and the
 central differences score blocks of instances as (block, 2L, L) probe
 stacks in one value-only call each, a block holding at most
 PROBE_VALUES_PER_CALL probe values (one instance when 2L * L exceeds it).
@@ -69,10 +71,12 @@ def relative_error(analytic: np.ndarray, fd: np.ndarray) -> np.ndarray:
 # Margin-safe instance constructors
 # ---------------------------------------------------------------------------
 
-def _signed(rng: np.random.Generator, lo: float, hi: float, size: int) -> np.ndarray:
-    """Random signs times magnitudes in [lo, hi]; the signs are the stream of
-    rng.choice([-1.0, 1.0], size), drawn without choice's overhead."""
-    return np.array([-1.0, 1.0])[rng.integers(0, 2, size)] * rng.uniform(lo, hi, size=size)
+def _signed(rng: np.random.Generator, lo: float, hi: float, size: int,
+            shape: tuple[int, ...] = ()) -> np.ndarray:
+    """A shape + (size,) array of random signs times magnitudes in [lo, hi]; the signs are
+    the stream of rng.choice([-1.0, 1.0], shape + (size,)), drawn without choice's overhead."""
+    dims = shape + (size,)
+    return np.array([-1.0, 1.0])[rng.integers(0, 2, dims)] * rng.uniform(lo, hi, size=dims)
 
 
 def _bins(L: int) -> tuple[np.ndarray, np.ndarray]:
@@ -81,58 +85,67 @@ def _bins(L: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _hermitian(L: int, free_values: np.ndarray, real_values: np.ndarray) -> np.ndarray:
-    """Spectrum of a real signal; the mirror bins L - k are set by conjugate symmetry."""
+    """Spectra of real signals, on the last axis of (..., L), from the values of the free and
+    the real bins (..., n_free) and (..., n_real); the mirror bins L - k are set by conjugate
+    symmetry."""
     free, real = _bins(L)
-    spec = np.zeros(L, dtype=complex)
-    spec[free] = free_values
-    spec[L - free] = np.conj(free_values)
-    spec[real] = real_values
+    spec = np.zeros(free_values.shape[:-1] + (L,), dtype=complex)
+    spec[..., free] = free_values
+    spec[..., L - free] = np.conj(free_values)
+    spec[..., real] = real_values
     return spec
 
 
-def _hermitian_margin_spectrum(rng: np.random.Generator, L: int,
-                               lo: float = 0.2, hi: float = 1.0) -> np.ndarray:
-    """Spectrum of a real signal with |re|, |im| in [lo, hi] on all free bins, |re| on real ones."""
+def _hermitian_margin_spectrum(rng: np.random.Generator, L: int, lo: float = 0.2,
+                               hi: float = 1.0, shape: tuple[int, ...] = ()) -> np.ndarray:
+    """shape + (L,) spectra of real signals with |re|, |im| in [lo, hi] on all free bins,
+    |re| on real ones."""
     free, real = _bins(L)
-    return _hermitian(L, _signed(rng, lo, hi, free.size) + 1j * _signed(rng, lo, hi, free.size),
-                      _signed(rng, lo, hi, real.size))
+    return _hermitian(L, _signed(rng, lo, hi, free.size, shape)
+                      + 1j * _signed(rng, lo, hi, free.size, shape),
+                      _signed(rng, lo, hi, real.size, shape))
 
 
-def _smooth_pair(rng: np.random.Generator, L: int) -> tuple[np.ndarray, np.ndarray]:
-    x = rng.normal(size=L)
-    return x, x + 0.5 * rng.normal(size=L)
+def _smooth_pair(rng: np.random.Generator, L: int, shape: tuple[int, ...] = ()
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    x = rng.normal(size=shape + (L,))
+    return x, x + 0.5 * rng.normal(size=shape + (L,))
 
 
-def _time_margin_pair(rng: np.random.Generator, L: int) -> tuple[np.ndarray, np.ndarray]:
+def _time_margin_pair(rng: np.random.Generator, L: int, shape: tuple[int, ...] = ()
+                      ) -> tuple[np.ndarray, np.ndarray]:
     """Error entries bounded away from zero (temporal kinks)."""
-    x_hat = rng.normal(size=L)
-    return x_hat + _signed(rng, 0.2, 1.0, L), x_hat
+    x_hat = rng.normal(size=shape + (L,))
+    return x_hat + _signed(rng, 0.2, 1.0, L, shape), x_hat
 
 
-def _spectral_margin_pair(rng: np.random.Generator, L: int) -> tuple[np.ndarray, np.ndarray]:
+def _spectral_margin_pair(rng: np.random.Generator, L: int, shape: tuple[int, ...] = ()
+                          ) -> tuple[np.ndarray, np.ndarray]:
     """Error spectrum bounded away from zero per re/im part (spectral kinks)."""
-    x_hat = rng.normal(size=L)
-    e = dft_inverse(_hermitian_margin_spectrum(rng, L))
+    x_hat = rng.normal(size=shape + (L,))
+    e = dft_inverse(_hermitian_margin_spectrum(rng, L, shape=shape))
     return x_hat + e, x_hat
 
 
-def _polar_margin_pair(rng: np.random.Generator, L: int) -> tuple[np.ndarray, np.ndarray]:
+def _polar_margin_pair(rng: np.random.Generator, L: int, shape: tuple[int, ...] = ()
+                       ) -> tuple[np.ndarray, np.ndarray]:
     """Predicted amplitudes in [0.5, 1.5]; amp gaps in [0.15, 0.3], phase gaps in [0.15, 0.5]."""
     free, real = _bins(L)
-    amp_hat = rng.uniform(0.5, 1.5, size=free.size)
-    phase_hat = rng.uniform(-2.0, 2.0, size=free.size)
-    amp = amp_hat + _signed(rng, 0.15, 0.3, free.size)
-    phase = phase_hat + _signed(rng, 0.15, 0.5, free.size)
+    free_shape, real_shape = shape + (free.size,), shape + (real.size,)
+    amp_hat = rng.uniform(0.5, 1.5, size=free_shape)
+    phase_hat = rng.uniform(-2.0, 2.0, size=free_shape)
+    amp = amp_hat + _signed(rng, 0.15, 0.3, free.size, shape)
+    phase = phase_hat + _signed(rng, 0.15, 0.5, free.size, shape)
     # real bins carry an amplitude-only gap; their phase is locally constant
-    real_hat = rng.uniform(0.5, 1.5, size=real.size)
-    real_amp = real_hat + rng.uniform(0.15, 0.3, size=real.size)
+    real_hat = rng.uniform(0.5, 1.5, size=real_shape)
+    real_amp = real_hat + rng.uniform(0.15, 0.3, size=real_shape)
     x_hat = dft_inverse(_hermitian(L, amp_hat * np.exp(1j * phase_hat), real_hat))
     x = dft_inverse(_hermitian(L, amp * np.exp(1j * phase), real_amp))
     return x, x_hat
 
 
-def _positive_mags(rng: np.random.Generator, L: int) -> np.ndarray:
-    return rng.uniform(0.2, 2.0, size=L)
+def _positive_mags(rng: np.random.Generator, L: int, shape: tuple[int, ...] = ()) -> np.ndarray:
+    return rng.uniform(0.2, 2.0, size=shape + (L,))
 
 
 # ---------------------------------------------------------------------------
@@ -142,18 +155,23 @@ def _positive_mags(rng: np.random.Generator, L: int) -> np.ndarray:
 @dataclass(frozen=True)
 class GradCase:
     """One registered loss: `loss(x, x_hat, *mags)` on (..., L) rows, where mags is
-    one (..., L) magnitude array per row when `draw_mags` is set and empty otherwise."""
+    one (..., L) magnitude array per row when `draw_mags` is set and empty otherwise.
+
+    `make_pair(rng, L, shape)` and `draw_mags(rng, L, shape)` draw a block of instances,
+    shape + (L,) arrays; at shape=() they draw one instance."""
 
     name: str
     tolerance: float
-    make_pair: Callable[[np.random.Generator, int], tuple[np.ndarray, np.ndarray]]
+    make_pair: Callable[[np.random.Generator, int, tuple[int, ...]],
+                        tuple[np.ndarray, np.ndarray]]
     loss: Callable[..., losses.LossEval]
-    draw_mags: Callable[[np.random.Generator, int], np.ndarray] | None = None
+    draw_mags: Callable[[np.random.Generator, int, tuple[int, ...]], np.ndarray] | None = None
     even_lengths: bool = False
 
-    def draw(self, rng: np.random.Generator, L: int) -> tuple[np.ndarray, ...]:
-        """The magnitude arguments of one instance: () or (one length-L draw,)."""
-        return () if self.draw_mags is None else (self.draw_mags(rng, L),)
+    def draw(self, rng: np.random.Generator, L: int, shape: tuple[int, ...] = ()
+             ) -> tuple[np.ndarray, ...]:
+        """The magnitude arguments of a block of instances: () or (one shape + (L,) draw,)."""
+        return () if self.draw_mags is None else (self.draw_mags(rng, L, shape),)
 
     def make_loss(self, rng: np.random.Generator, L: int
                   ) -> Callable[[np.ndarray, np.ndarray], losses.LossEval]:
@@ -261,9 +279,11 @@ def run_gradient_suite(lengths: tuple[int, ...] = (8, 32, 128), instances: int =
     """Run the FD oracle on the registered losses.
 
     `instances` is per loss, split evenly across `lengths`; the leading lengths get the rest.
-    Each instance draws its pair, then its magnitudes, from one generator in turn; the
-    instances of one case and length are then scored together.
+    From one generator, in turn, the n instances of each case and length are drawn as one
+    block, pairs then magnitudes, and scored together.
     """
+    if names is not None and len(names) == 0:
+        raise ValueError("names must name at least one loss case")
     cases = LOSS_CASES if names is None else tuple(c for c in LOSS_CASES if c.name in names)
     if names is not None and len(cases) != len(names):
         if "" in names:
@@ -285,9 +305,9 @@ def run_gradient_suite(lengths: tuple[int, ...] = (8, 32, 128), instances: int =
             n = per_length + (i < extra)
             if n == 0:
                 continue
-            draws = [case.make_pair(rng, L) + case.draw(rng, L) for _ in range(n)]
-            x, x_hat, *mags = (np.stack(a) for a in zip(*draws))
-            worst = np.maximum(worst, _score(case, x, x_hat, tuple(mags)))  # NaN wins
+            x, x_hat = case.make_pair(rng, L, (n,))
+            mags = case.draw(rng, L, (n,))
+            worst = np.maximum(worst, _score(case, x, x_hat, mags))  # NaN wins
         reports.append(GradCheckReport(name=case.name, tolerance=case.tolerance,
                                        max_rel_err=float(worst), instances=instances))
     return reports

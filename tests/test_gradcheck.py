@@ -30,8 +30,8 @@ class TestCentralDifference:
     @settings(max_examples=10, deadline=None)
     def test_rows_equal_one_dimensional_calls(self, case, n, L, seed):
         rng = np.random.default_rng(seed)
-        draws = [case.make_pair(rng, L) + case.draw(rng, L) for _ in range(n)]
-        x, x_hat, *mags = (np.stack(a) for a in zip(*draws))
+        x, x_hat = case.make_pair(rng, L, (n,))
+        mags = case.draw(rng, L, (n,))
         x_hat = x_hat * rng.uniform(0.5, 3.0, size=(n, 1))  # rows with different steps
         batched = gradcheck.central_difference(
             lambda p: case.loss(x[:, None], p, *(m[:, None] for m in mags)).value, x_hat)
@@ -69,19 +69,22 @@ class TestCentralDifference:
 
 
 def reference_suite(lengths, instances, seed):
-    """Reference suite: one instance at a time, each with its own analytic call and its
-    own finite-difference call on its (2L, L) probe stack; worst error per case name."""
+    """Reference suite: the suite's block draws, then one instance at a time, each with its
+    own analytic call and its own finite-difference call on its (2L, L) probe stack; worst
+    error per case name."""
     rng = make_rng(seed)
     per_length, extra = divmod(instances, len(lengths))
     worst = {}
     for case in gradcheck.LOSS_CASES:
         worst[case.name] = 0.0
         for i, L in enumerate(lengths):
-            for _ in range(per_length + (i < extra)):
-                x, x_hat = case.make_pair(rng, L)
-                loss = case.make_loss(rng, L)
-                analytic = loss(x, x_hat).grad_wrt_prediction
-                fd = gradcheck.central_difference(lambda xh: loss(x, xh).value, x_hat)
+            n = per_length + (i < extra)
+            xs, x_hats = case.make_pair(rng, L, (n,))
+            mags = case.draw(rng, L, (n,))
+            for x, x_hat, *mag in zip(xs, x_hats, *mags):
+                analytic = case.loss(x, x_hat, *mag).grad_wrt_prediction
+                fd = gradcheck.central_difference(lambda xh: case.loss(x, xh, *mag).value,
+                                                  x_hat)
                 worst[case.name] = max(worst[case.name],
                                        float(gradcheck.relative_error(analytic, fd)))
     return worst
@@ -162,35 +165,62 @@ class TestNanGradient:
 
 @pytest.mark.parametrize("L", [7, 8, 128])
 class TestMarginConstructors:
-    seeds = range(200)
+    """Every row of a draw keeps its margins: 200 single draws, and 4 blocks of 50 rows."""
+
+    draws = [((), seed) for seed in range(200)] + [((50,), seed) for seed in range(4)]
 
     def test_hermitian_margin_spectrum(self, L):
         lo, hi = 0.2, 1.0
         free = np.arange(1, (L + 1) // 2)
         real = [0, L // 2] if L % 2 == 0 else [0]
-        for seed in self.seeds:
-            spec = gradcheck._hermitian_margin_spectrum(np.random.default_rng(seed), L, lo, hi)
-            np.testing.assert_array_equal(spec[L - free], np.conj(spec[free]))
-            for part in (spec[free].real, spec[free].imag, spec[real].real):
+        for shape, seed in self.draws:
+            spec = gradcheck._hermitian_margin_spectrum(np.random.default_rng(seed), L, lo, hi,
+                                                        shape)
+            assert spec.shape == shape + (L,)
+            np.testing.assert_array_equal(spec[..., L - free], np.conj(spec[..., free]))
+            for part in (spec[..., free].real, spec[..., free].imag, spec[..., real].real):
                 assert np.all((np.abs(part) >= lo) & (np.abs(part) <= hi))
-            np.testing.assert_array_equal(spec[real].imag, 0.0)
+            np.testing.assert_array_equal(spec[..., real].imag, 0.0)
             assert np.max(np.abs(np.fft.ifft(spec, norm="ortho").imag)) < 1e-12
 
     def test_polar_margin_pair(self, L):
         tol = 1e-9
         free = np.arange(1, (L + 1) // 2)
         real = [0, L // 2] if L % 2 == 0 else [0]
-        for seed in self.seeds:
-            x, x_hat = gradcheck._polar_margin_pair(np.random.default_rng(seed), L)
+        for shape, seed in self.draws:
+            x, x_hat = gradcheck._polar_margin_pair(np.random.default_rng(seed), L, shape)
+            assert x.shape == x_hat.shape == shape + (L,)
             f, f_hat = np.fft.fft(x, norm="ortho"), np.fft.fft(x_hat, norm="ortho")
-            amp_hat = np.abs(f_hat[free])
-            amp_gap = np.abs(np.abs(f[free]) - amp_hat)
-            phase_gap = np.abs(np.angle(f[free] * np.conj(f_hat[free])))
+            amp_hat = np.abs(f_hat[..., free])
+            amp_gap = np.abs(np.abs(f[..., free]) - amp_hat)
+            phase_gap = np.abs(np.angle(f[..., free] * np.conj(f_hat[..., free])))
             assert np.all((amp_hat > 0.5 - tol) & (amp_hat < 1.5 + tol))
             assert np.all((amp_gap > 0.15 - tol) & (amp_gap < 0.3 + tol))
             assert np.all((phase_gap > 0.15 - tol) & (phase_gap < 0.5 + tol))
             # real bins: positive real values, amplitude-only gap
-            assert np.all((f_hat[real].real > 0.5 - tol) & (f_hat[real].real < 1.5 + tol))
-            real_gap = f[real].real - f_hat[real].real
+            f_real, f_hat_real = f[..., real], f_hat[..., real]
+            assert np.all((f_hat_real.real > 0.5 - tol) & (f_hat_real.real < 1.5 + tol))
+            real_gap = f_real.real - f_hat_real.real
             assert np.all((real_gap > 0.15 - tol) & (real_gap < 0.3 + tol))
-            assert np.max(np.abs(np.concatenate([f[real].imag, f_hat[real].imag]))) < tol
+            assert np.max(np.abs(np.concatenate([f_real.imag, f_hat_real.imag]))) < tol
+
+
+@pytest.mark.parametrize("L", [7, 8, 32, 128])
+@pytest.mark.parametrize("case", gradcheck.LOSS_CASES, ids=lambda c: c.name)
+def test_one_row_block_is_the_single_draw(case, L):
+    """A (1,) block draws the same stream as a single instance, bit for bit."""
+    for seed in range(3):
+        single, block = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = case.make_pair(single, L) + case.draw(single, L)
+        got = case.make_pair(block, L, (1,)) + case.draw(block, L, (1,))
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.shape == (1, L) and w.shape == (L,)
+            assert g[0].tobytes() == w.tobytes()
+        assert block.bit_generator.state == single.bit_generator.state
+
+
+@pytest.mark.parametrize("names", [(), []])
+def test_no_names_rejected(names):
+    with pytest.raises(ValueError, match="names must name at least one loss case"):
+        gradcheck.run_gradient_suite(names=names)

@@ -549,10 +549,10 @@ class TestLazyGradient:
             return list(seen)
 
         def analytic_only():
-            # the suite's analytic call: the instance as a (1, L) block
+            # the suite's one-instance block draw and its analytic call on the (1, L) block
             rng = make_rng(0)
-            x, x_hat = case.make_pair(rng, L)
-            case.make_loss(rng, L)(x[None], x_hat[None]).grad_wrt_prediction
+            x, x_hat = case.make_pair(rng, L, (1,))
+            case.loss(x, x_hat, *case.draw(rng, L, (1,))).grad_wrt_prediction
 
         monkeypatch.setattr(np.fft, "ifft", counting(np.fft.ifft))
         monkeypatch.setattr(transforms, "_rdft_synthesis", counting(transforms._rdft_synthesis))
@@ -561,7 +561,7 @@ class TestLazyGradient:
             lengths=(L,), instances=1, seed=0, names=(case.name,)))
         assert suite == record(analytic_only)
         assert all(shape in ((L,), (1, L)) for shape in suite)
-        pairs_only = record(lambda: case.make_pair(make_rng(0), L))
+        pairs_only = record(lambda: case.make_pair(make_rng(0), L, (1,)))
         temporal = case.name in ("temporal_l2", "temporal_l1", "harmonized_l1_identity")
         assert len(suite) == len(pairs_only) + (0 if temporal else 1 + ("phase" in case.name))
 
