@@ -115,7 +115,7 @@ def sample_correlation(windows: np.ndarray) -> CorrMatrix:
     corr[:, dead] = 0.0
     corr = np.clip(corr, -1.0, 1.0)
     np.fill_diagonal(corr, 1.0)
-    return CorrMatrix(0.5 * (corr + corr.T))
+    return CorrMatrix(corr)  # CorrMatrix symmetrizes it
 
 
 def ode_ratio(R: CorrMatrix) -> float:

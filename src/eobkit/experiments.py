@@ -67,21 +67,13 @@ class GradientCheckError(RuntimeError):
 
 @dataclass(frozen=True)
 class ModelSpec:
-    kind: str = "linear"  # "linear" | "mlp1"
-    hidden: int = 64
-    activation: str = "tanh"
-    init_seed: int = 0
+    kind: str = field(default="linear", metadata={"choices": ("linear", "mlp1")})
+    hidden: int = field(default=64, metadata={"min": 1})
+    activation: str = field(default="tanh", metadata={"choices": ("tanh", "relu")})
+    init_seed: int = field(default=0, metadata={"min": 0})
 
     def __post_init__(self):
         _cast(self)
-        if self.kind not in ("linear", "mlp1"):
-            raise ValueError(f"kind must be 'linear' or 'mlp1', got {self.kind!r}")
-        if self.activation not in ("tanh", "relu"):
-            raise ValueError(f"activation must be 'tanh' or 'relu', got {self.activation!r}")
-        if self.hidden < 1:
-            raise ValueError(f"hidden must be >= 1, got {self.hidden}")
-        if self.init_seed < 0:
-            raise ValueError(f"init_seed must be >= 0, got {self.init_seed}")
 
 
 @dataclass(frozen=True)
@@ -90,53 +82,38 @@ class LossSpec(losses.HarmonizedConfig):
     losses read it as their config, and `beta` drives the magnitude EMA."""
 
     norm: str = "l2"
-    kind: str = "temporal"  # "temporal" | "harmonized"
-    beta: float = 0.3
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.kind not in ("temporal", "harmonized"):
-            raise ValueError(f"loss kind must be 'temporal' or 'harmonized', got {self.kind!r}")
-        if not 0.0 <= self.beta < 1.0:
-            raise ValueError(f"beta must lie in [0, 1), got {self.beta}")
+    kind: str = field(default="temporal", metadata={"choices": ("temporal", "harmonized")})
+    beta: float = field(default=0.3, metadata={"min": 0, "below": 1})
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    optimizer: str = "adam"
-    lr: float = 1e-3
-    max_epochs: int = 150
-    patience: int = 10
-    batch_size: int = 128
+    optimizer: str = field(default="adam", metadata={"choices": ("sgd", "adam")})
+    lr: float = field(default=1e-3, metadata={"min": 0})
+    max_epochs: int = field(default=150, metadata={"min": 1})
+    patience: int = field(default=10, metadata={"min": 1})
+    batch_size: int = field(default=128, metadata={"min": 1})
     loss: LossSpec = field(default_factory=LossSpec)
-    split: float = 0.7
+    split: float = field(default=0.7, metadata={"above": 0, "below": 1})
     check_gradients: bool = True
 
     def __post_init__(self):
         _cast(self)
-        if self.optimizer not in ("sgd", "adam"):
-            raise ValueError(f"optimizer must be 'sgd' or 'adam', got {self.optimizer!r}")
-        if self.lr < 0.0:
-            raise ValueError(f"lr must be >= 0, got {self.lr}")
-        if not 0.0 < self.split < 1.0:
-            raise ValueError(f"split must lie in (0, 1), got {self.split}")
-        if self.max_epochs < 1 or self.patience < 1 or self.batch_size < 1:
-            raise ValueError("max_epochs, patience and batch_size must be >= 1")
 
 
 @dataclass(frozen=True)
 class GridSpec:
     ssnr_x_values: tuple[float, ...] = (32.0, 104.0, 176.0, 248.0, 320.0)
-    horizons: tuple[int, ...] = (64, 128)
-    history: int = 64
-    series_length: int = 5000
-    replications: int = 3
-    seed: int = 0
+    horizons: tuple[int, ...] = field(default=(64, 128), metadata={"min": 1})
+    history: int = field(default=64, metadata={"min": 1})
+    series_length: int = field(default=5000, metadata={"min": 1})
+    replications: int = field(default=3, metadata={"min": 1})
+    seed: int = field(default=0, metadata={"min": 0})
     # the stochastic core shared by every cell, and the sinusoid stack over it
     ar: ARSpec = field(default_factory=lambda: ARSpec.ar1_for_ssnr(32.0, 0.25))
     det_harmonics: int = 3
     det_fmax: int = 15
-    det_period: int = 128
+    det_period: int = field(default=128, metadata={"min": 1})
 
     def __post_init__(self):
         _cast(self)
@@ -146,13 +123,6 @@ class GridSpec:
                 raise ValueError(f"{name} must be non-empty")
             if len(set(values)) < len(values):
                 raise ValueError(f"{name} must not repeat a value, got {values}")
-        for name in ("replications", "history", "det_period"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if min(self.horizons) < 1:
-            raise ValueError(f"every horizon must be >= 1, got horizons={self.horizons}")
         below = [v for v in self.ssnr_x_values if v < self.floor.ssnr]
         if below:
             raise ValueError(f"every ssnr_x must be >= the stochastic floor, the ar core's "

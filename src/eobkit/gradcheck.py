@@ -282,6 +282,8 @@ def run_gradient_suite(lengths: tuple[int, ...] = (8, 32, 128), instances: int =
     From one generator, in turn, the n instances of each case and length are drawn as one
     block, pairs then magnitudes, and scored together.
     """
+    if isinstance(names, str):  # `in` would test substrings of it
+        raise ValueError(f"names must be a sequence of loss case names, not the string {names!r}")
     if names is not None and len(names) == 0:
         raise ValueError("names must name at least one loss case")
     cases = LOSS_CASES if names is None else tuple(c for c in LOSS_CASES if c.name in names)

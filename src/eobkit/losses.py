@@ -159,22 +159,16 @@ class HarmonizedConfig:
     """
 
     norm: str = "l1"
-    gamma: float = 0.5
-    eps: float = 1e-8
-    transform: str = "dft"
+    gamma: float = field(default=0.5, metadata={"min": 0})
+    eps: float = field(default=1e-8, metadata={"above": 0})
+    transform: str = field(default="dft", metadata={"choices": ("dft", "dwt", "identity")})
     wavelet: str = "haar"
     levels: int = 1
 
     def __post_init__(self):
         _cast(self)
         _check_norm(self.norm)
-        if self.transform not in ("dft", "dwt", "identity"):
-            raise ValueError(f"transform must be dft, dwt or identity, got {self.transform!r}")
         transforms._check_dwt(self.wavelet, self.levels)
-        if self.gamma < 0.0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
-        if self.eps <= 0.0:
-            raise ValueError(f"eps must be > 0, got {self.eps}")
 
 
 # ---------------------------------------------------------------------------

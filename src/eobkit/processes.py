@@ -13,12 +13,18 @@ Everything here is a pure function of (spec, seed): generators use a
 counter-based Philox stream keyed by the seed, so identical inputs give
 bit-identical output and independent sub-streams can be spawned for
 parallel grids.
+
+A spec field here, in `losses` or in `experiments` declares its type by its annotation and
+its range in its `dataclasses.field` metadata: "min" (>=), "above" (>), "max" (<=), "below"
+(<) or "choices". `_cast` enforces both, and each error it raises reads
+`<Class>.<JSON key>: <cause>`, as in `Binomial.n: must be >= 1, got 0`.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import MISSING, Field, dataclass, field, fields, is_dataclass
 from typing import Union
 
@@ -68,17 +74,28 @@ _CASTS = {"int": _int, "float": _float, "bool": _bool,
           "tuple[int, ...]": _items(_int), "tuple[float, ...]": _items(_float)}
 
 
+# what a field's metadata may require of its value, or of each item of a tuple
+_RANGE = {"min": (operator.ge, ">="), "above": (operator.gt, ">"), "max": (operator.le, "<="),
+          "below": (operator.lt, "<"), "choices": (lambda v, allowed: v in allowed, "one of")}
+
+
 def _cast(spec) -> None:
     """Coerce each field of a frozen dataclass whose annotation is in _CASTS, in place
-    (JSON numbers come as int or float); a failure names the field by its JSON key.
-    Other fields (strings, nested specs) are left to the class's own checks."""
+    (JSON numbers come as int or float), then check its metadata's "min", "above", "max",
+    "below" or "choices"; a failure reads `<Class>.<JSON key>: <cause>`."""
     for f in fields(spec):
         cast = _CASTS.get(f.type)
-        if cast is not None:
-            try:
-                object.__setattr__(spec, f.name, cast(getattr(spec, f.name)))
-            except (TypeError, ValueError, OverflowError) as exc:  # an int beyond float range
-                raise ValueError(f"{type(spec).__name__}.{_json_key(f)}: {exc}") from None
+        try:
+            value = cast(getattr(spec, f.name)) if cast else getattr(spec, f.name)
+            for key, (holds, relation) in _RANGE.items():
+                if key in f.metadata:
+                    bad = [v for v in (value if isinstance(value, tuple) else (value,))
+                           if not holds(v, f.metadata[key])]
+                    if bad:
+                        raise ValueError(f"must be {relation} {f.metadata[key]!r}, got {bad[0]!r}")
+        except (TypeError, ValueError, OverflowError) as exc:  # an int beyond float range
+            raise ValueError(f"{type(spec).__name__}.{_json_key(f)}: {exc}") from None
+        object.__setattr__(spec, f.name, value)
 
 
 def seed_sequence(seed: SeedLike) -> np.random.SeedSequence:
@@ -101,15 +118,11 @@ def make_rng(seed: SeedLike) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class Binomial:
-    n: int
-    p: float
+    n: int = field(metadata={"min": 1})
+    p: float = field(metadata={"above": 0, "max": 1})
 
     def __post_init__(self):
         _cast(self)
-        if self.n < 1:
-            raise ValueError(f"binomial requires n >= 1, got n={self.n}")
-        if not 0.0 < self.p <= 1.0:
-            raise ValueError(f"binomial requires 0 < p <= 1, got p={self.p}")
 
     @property
     def mean(self) -> float:
@@ -125,12 +138,10 @@ class Binomial:
 
 @dataclass(frozen=True)
 class Geometric:
-    p: float
+    p: float = field(metadata={"above": 0, "max": 1})
 
     def __post_init__(self):
         _cast(self)
-        if not 0.0 < self.p <= 1.0:
-            raise ValueError(f"geometric requires 0 < p <= 1, got p={self.p}")
 
     @property
     def mean(self) -> float:
@@ -148,12 +159,10 @@ class Geometric:
 @dataclass(frozen=True)
 class Gaussian:
     mu: float
-    sigma: float
+    sigma: float = field(metadata={"above": 0})
 
     def __post_init__(self):
         _cast(self)
-        if self.sigma <= 0.0:
-            raise ValueError(f"gaussian requires sigma > 0, got sigma={self.sigma}")
 
     @property
     def mean(self) -> float:
@@ -169,12 +178,10 @@ class Gaussian:
 
 @dataclass(frozen=True)
 class Poisson:
-    lam: float = field(metadata={"json_key": "lambda"})
+    lam: float = field(metadata={"json_key": "lambda", "above": 0})
 
     def __post_init__(self):
         _cast(self)
-        if self.lam <= 0.0:
-            raise ValueError(f"poisson requires lambda > 0, got lambda={self.lam}")
 
     @property
     def mean(self) -> float:
@@ -190,15 +197,11 @@ class Poisson:
 
 @dataclass(frozen=True)
 class StudentT:
-    nu: float
-    alpha: float
+    nu: float = field(metadata={"above": 2})  # a finite variance
+    alpha: float = field(metadata={"above": 0})
 
     def __post_init__(self):
         _cast(self)
-        if self.nu <= 2.0:
-            raise ValueError(f"student_t requires nu > 2 for finite variance, got nu={self.nu}")
-        if self.alpha <= 0.0:
-            raise ValueError(f"student_t requires alpha > 0, got alpha={self.alpha}")
 
     @property
     def mean(self) -> float:
@@ -321,12 +324,10 @@ class ARSpec:
     c: float
     phi: tuple[float, ...]
     innovation: InnovationDist
-    sigma_eps2: float
+    sigma_eps2: float = field(metadata={"above": 0})
 
     def __post_init__(self):
         _cast(self)
-        if self.sigma_eps2 <= 0.0:
-            raise ValueError(f"sigma_eps2 must be positive, got {self.sigma_eps2}")
         if not math.isclose(self.innovation.variance, self.sigma_eps2,
                             rel_tol=1e-9, abs_tol=1e-12):
             raise ValueError(
@@ -368,17 +369,15 @@ class ARSpec:
 class DeterministicSpec:
     """Sum of K sinusoids with amplitude-adjusted harmonics over period T."""
 
-    base_amplitude: float
+    base_amplitude: float = field(metadata={"min": 0})
     freqs: tuple[int, ...]
-    phases: tuple[float, ...]
-    period: int
+    phases: tuple[float, ...] = field(metadata={"min": 0, "below": 2 * math.pi})
+    period: int = field(metadata={"min": 1})
 
     def __post_init__(self):
         _cast(self)
         if len(self.freqs) == 0:
             raise ValueError("at least one harmonic frequency is required")
-        if self.period < 1:
-            raise ValueError(f"period must be >= 1, got {self.period}")
         if len(self.freqs) != len(self.phases):
             raise ValueError(
                 f"freqs and phases length mismatch: {len(self.freqs)} vs {len(self.phases)}")
@@ -389,10 +388,6 @@ class DeterministicSpec:
         if 0 in reduced or 2 * max(reduced) == self.period or len(set(reduced)) < self.K:
             raise ValueError(f"freqs {self.freqs} alias at period {self.period}: each frequency "
                              f"must reduce to a distinct bin strictly between 0 and period/2")
-        if any(not 0.0 <= ph < 2.0 * math.pi for ph in self.phases):
-            raise ValueError("phases must lie in [0, 2*pi)")
-        if self.base_amplitude < 0.0:
-            raise ValueError(f"base_amplitude must be >= 0, got {self.base_amplitude}")
 
     @property
     def K(self) -> int:
@@ -425,12 +420,10 @@ class HybridSpec:
 
     ar: ARSpec
     det: DeterministicSpec | None = field(default=None, kw_only=True)
-    length: int
+    length: int = field(metadata={"min": 0})
 
     def __post_init__(self):
         _cast(self)
-        if self.length < 0:
-            raise ValueError(f"length must be >= 0, got {self.length}")
 
 
 # ---------------------------------------------------------------------------

@@ -391,7 +391,8 @@ class TestGridSpecAtParse:
     @pytest.mark.parametrize("key,bad", [
         ("det_fmax", 2), ("det_fmax", 16), ("det_fmax", 40),
         ("det_harmonics", 0), ("det_period", 0), ("history", 0), ("series_length", 10),
-        ("series_length", 66), ("horizons", [0, 16]), ("seed", -4),
+        ("series_length", 66), ("series_length", 0), ("series_length", -5),
+        ("horizons", [0, 16]), ("seed", -4),
         ("ssnr_x_values", [32, 96, 96]), ("horizons", [16, 16]),
     ])
     def test_simulate_rejects_impossible_grid(self, key, bad, tmp_path, capsys):
@@ -446,7 +447,7 @@ class TestGridSpecAtParse:
         src.write_text(json.dumps({**GRID_CONFIG, "model": {**GRID_CONFIG["model"], **model}}))
         assert run_cli("simulate", "--grid", str(src), "--jobs", "1", "--out", str(out),
                        *override) == 1
-        assert re.search(rf"(^|\s){field} must be >= 0, got -1", capsys.readouterr().err)
+        assert re.search(rf"error: \w+\.{field}: must be >= 0, got -1", capsys.readouterr().err)
         assert list(tmp_path.iterdir()) == [src]
 
 

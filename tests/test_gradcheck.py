@@ -224,3 +224,10 @@ def test_one_row_block_is_the_single_draw(case, L):
 def test_no_names_rejected(names):
     with pytest.raises(ValueError, match="names must name at least one loss case"):
         gradcheck.run_gradient_suite(names=names)
+
+
+@pytest.mark.parametrize("names", ["temporal_l2", "x"])
+def test_bare_string_names_rejected(names):
+    with pytest.raises(ValueError, match=rf"^names must be a sequence of loss case names, "
+                                         rf"not the string '{names}'$"):
+        gradcheck.run_gradient_suite(names=names)

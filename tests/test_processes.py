@@ -73,7 +73,7 @@ class TestInnovations:
             StudentT(nu=2.0, alpha=1.0)
         with pytest.raises(ValueError, match="b > a"):
             Uniform(a=1.0, b=1.0)
-        with pytest.raises(ValueError, match="n >= 1"):
+        with pytest.raises(ValueError, match=r"^Binomial\.n: must be >= 1, got 0$"):
             Binomial(n=0, p=0.5)
 
 

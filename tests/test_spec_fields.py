@@ -1,8 +1,10 @@
-"""Every numeric spec field is checked by its annotation, at every JSON entry point.
+"""Every spec field is checked by its annotation and its declared range, at every JSON
+entry point.
 
-`NUMERIC_FIELDS` is written out by hand, not read from the classes: a field
-whose annotation changes, or a new numeric field, must change it too, and the
-property tests then expect the bad values of the type written here.
+`NUMERIC_FIELDS` and `BOUNDED_FIELDS` are written out by hand, not read from
+the classes: a field whose annotation or range changes, or a new numeric or
+bounded field, must change them too, and the property tests then expect the
+bad values of the type and range written here.
 """
 
 import contextlib
@@ -43,6 +45,32 @@ NUMERIC_FIELDS = {
                  "history": "int", "series_length": "int", "replications": "int", "seed": "int",
                  "det_harmonics": "int", "det_fmax": "int", "det_period": "int"},
 }
+# class -> {JSON key: metadata} of every field with a range
+BOUNDED_FIELDS = {
+    "Binomial": {"n": {"min": 1}, "p": {"above": 0, "max": 1}},
+    "Geometric": {"p": {"above": 0, "max": 1}},
+    "Gaussian": {"sigma": {"above": 0}},
+    "Poisson": {"lambda": {"above": 0}},
+    "StudentT": {"nu": {"above": 2}, "alpha": {"above": 0}},
+    "Uniform": {},
+    "ARSpec": {"sigma_eps2": {"above": 0}},
+    "DeterministicSpec": {"base_amplitude": {"min": 0},
+                          "phases": {"min": 0, "below": 2 * math.pi}, "period": {"min": 1}},
+    "HybridSpec": {"length": {"min": 0}},
+    "HarmonizedConfig": {"gamma": {"min": 0}, "eps": {"above": 0},
+                         "transform": {"choices": ("dft", "dwt", "identity")}},
+    "LossSpec": {"gamma": {"min": 0}, "eps": {"above": 0},
+                 "transform": {"choices": ("dft", "dwt", "identity")},
+                 "kind": {"choices": ("temporal", "harmonized")}, "beta": {"min": 0, "below": 1}},
+    "ModelSpec": {"kind": {"choices": ("linear", "mlp1")}, "hidden": {"min": 1},
+                  "activation": {"choices": ("tanh", "relu")}, "init_seed": {"min": 0}},
+    "TrainConfig": {"optimizer": {"choices": ("sgd", "adam")}, "lr": {"min": 0},
+                    "max_epochs": {"min": 1}, "patience": {"min": 1}, "batch_size": {"min": 1},
+                    "split": {"above": 0, "below": 1}},
+    "GridSpec": {"horizons": {"min": 1}, "history": {"min": 1}, "series_length": {"min": 1},
+                 "replications": {"min": 1}, "seed": {"min": 0}, "det_period": {"min": 1}},
+}
+RANGE_KEYS = ("min", "above", "max", "below", "choices")
 NON_NUMERIC = {"str", "ARSpec", "InnovationDist", "DeterministicSpec | None", "LossSpec"}
 CLASSES = (Binomial, Geometric, Gaussian, Poisson, StudentT, Uniform, ARSpec, DeterministicSpec,
            HybridSpec, HarmonizedConfig, LossSpec, ModelSpec, TrainConfig, GridSpec)
@@ -54,6 +82,15 @@ def test_annotations_are_cast_or_non_numeric(cls):
         assert f.type in _CASTS or f.type in NON_NUMERIC, f"{cls.__name__}.{f.name}: {f.type!r}"
     numeric = {_json_key(f): f.type for f in dataclasses.fields(cls) if f.type in _CASTS}
     assert numeric == NUMERIC_FIELDS[cls.__name__]
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
+def test_ranges_are_declared_in_metadata(cls):
+    for f in dataclasses.fields(cls):
+        assert set(f.metadata) <= {"json_key", *RANGE_KEYS}, f"{cls.__name__}.{f.name}"
+    bounded = {_json_key(f): {k: v for k, v in f.metadata.items() if k in RANGE_KEYS}
+               for f in dataclasses.fields(cls)}
+    assert {key: limits for key, limits in bounded.items() if limits} == BOUNDED_FIELDS[cls.__name__]
 
 
 # the subcommands whose document holds each class, and where: `generate --spec` reads a
@@ -83,6 +120,10 @@ GRID_CONFIG = {
     "loss": {"kind": "harmonized", "norm": "l2", "gamma": 0.5, "eps": 1e-8, "levels": 1,
              "beta": 0.3},
 }
+RANGE_CASES = [(command, cls, key, check, bound)
+               for cls, bounded in BOUNDED_FIELDS.items() if cls != "HarmonizedConfig"
+               for key, limits in bounded.items() for check, bound in limits.items()
+               for command in PLACES[cls]]
 FIELD_CASES = [(command, cls, key, annotation)
                for cls, numeric in NUMERIC_FIELDS.items() if cls != "HarmonizedConfig"
                for key, annotation in numeric.items() for command in PLACES[cls]]
@@ -108,6 +149,20 @@ for _item in ("int", "float"):
         _bad[_item], st.integers(-5, 5).map(str))
 
 
+def _past(check: str, bound, annotation: str | None):
+    """Values on the rejected side of a bound, from the first one past it, or strings
+    outside the choices."""
+    if check == "choices":
+        return st.text(max_size=8).filter(lambda text: text not in bound)
+    low = check in ("min", "above")  # values below the bound are the rejected ones
+    step = -1 if low else 1
+    if annotation is not None and "int" in annotation:
+        first = bound if check in ("above", "below") else bound + step
+        return st.integers(*sorted((first, first + 3 * step)))
+    first = bound if check in ("above", "below") else math.nextafter(bound, step * math.inf)
+    return st.one_of(st.just(first), st.floats(*sorted((first, first + step))))
+
+
 def run_cli(*argv) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -120,31 +175,87 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("fields")
 
 
+def _document(command: str, cls: str) -> tuple[dict, dict]:
+    """The document `command` reads, and its JSON object that holds the fields of `cls`."""
+    doc = json.loads(json.dumps(GRID_CONFIG if command == "simulate" else PROCESS_SPEC))
+    ar = doc["grid"]["ar"] if command == "simulate" else doc["ar"]
+    if cls in FAMILIES:
+        ar["innovation"] = dict(INNOVATION_DOCS[FAMILIES[cls]])
+    doc = ar if command == "eob" else doc
+    section = doc
+    for name in PLACES[cls][command]:
+        section = section[name]
+    return doc, section
+
+
+def run_with(command: str, doc: dict, section: dict, key: str, raw: str,
+             workdir) -> tuple[int, str, str]:
+    """Run `command` on `doc` with the raw JSON text `raw` as the value of `section[key]`."""
+    section[key] = "@BAD@"
+    path = workdir / f"{command}.json"
+    path.write_text(json.dumps(doc).replace('"@BAD@"', raw))
+    argv = {"generate": ("generate", "--spec", str(path)),
+            "eob": ("eob", "--spec", str(path), "--T", "16"),
+            "simulate": ("simulate", "--grid", str(path), "--jobs", "1")}[command]
+    return run_cli(*argv)
+
+
 @pytest.mark.parametrize("command,cls,key,annotation", FIELD_CASES,
                          ids=[f"{c[0]}-{c[1]}.{c[2]}" for c in FIELD_CASES])
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_bad_value_exits_1_naming_the_field(command, cls, key, annotation, workdir, data):
     raw = data.draw(_bad[annotation], label="raw")
-    doc = json.loads(json.dumps(GRID_CONFIG if command == "simulate" else PROCESS_SPEC))
-    ar = doc["grid"]["ar"] if command == "simulate" else doc["ar"]
-    if cls in FAMILIES:
-        ar["innovation"] = dict(INNOVATION_DOCS[FAMILIES[cls]])
-    section = ar if command == "eob" else doc
-    for name in PLACES[cls][command]:
-        section = section[name]
-    section[key] = "@BAD@"
-    path = workdir / f"{command}.json"
-    path.write_text(json.dumps(ar if command == "eob" else doc).replace('"@BAD@"', raw))
-    argv = {"generate": ("generate", "--spec", str(path)),
-            "eob": ("eob", "--spec", str(path), "--T", "16"),
-            "simulate": ("simulate", "--grid", str(path), "--jobs", "1")}[command]
-    code, out, err = run_cli(*argv)
+    code, out, err = run_with(command, *_document(command, cls), key, raw, workdir)
     assert (code, out) == (1, ""), err
     value = json.loads(raw)  # NaN, Infinity and 1e999 load as non-finite floats
     non_finite = any(isinstance(v, float) and not math.isfinite(v)
                      for v in (value if isinstance(value, list) else [value]))
     assert ("non-finite number" if non_finite else f"error: {cls}.{key}: ") in err, err
+
+
+@pytest.mark.parametrize("command,cls,key,check,bound", RANGE_CASES,
+                         ids=[f"{c[0]}-{c[1]}.{c[2]}-{c[3]}" for c in RANGE_CASES])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_value_past_a_bound_exits_1_naming_the_field(command, cls, key, check, bound, workdir,
+                                                      data):
+    annotation = NUMERIC_FIELDS[cls].get(key)
+    value = data.draw(_past(check, bound, annotation), label="value")
+    doc, section = _document(command, cls)
+    if annotation is not None and annotation.startswith("tuple"):  # the last item goes bad
+        value = section[key][:-1] + [value]
+    code, out, err = run_with(command, doc, section, key, json.dumps(value), workdir)
+    assert (code, out) == (1, ""), err
+    assert f"error: {cls}.{key}: must be " in err, err
+
+
+# the fields each class has no default for, with values it accepts
+REQUIRED = {"Binomial": {"n": 1, "p": 0.5}, "Geometric": {"p": 0.5},
+            "DeterministicSpec": {"base_amplitude": 1.5, "freqs": (2, 7), "phases": (0.3, 1.1),
+                                  "period": 128},
+            "HybridSpec": {"ar": ARSpec.white_noise(), "length": 64}}
+CLOSED_BOUNDS = [(cls, key, bound) for cls, bounded in BOUNDED_FIELDS.items()
+                 for key, limits in bounded.items()
+                 for check, bound in limits.items() if check in ("min", "max")]
+
+
+@pytest.mark.parametrize("cls,key,bound", CLOSED_BOUNDS,
+                         ids=[f"{c[0]}.{c[1]}={c[2]}" for c in CLOSED_BOUNDS])
+def test_closed_bound_is_accepted(cls, key, bound):
+    spec_cls = next(c for c in CLASSES if c.__name__ == cls)
+    name = next(f.name for f in dataclasses.fields(spec_cls) if _json_key(f) == key)
+    kwargs = REQUIRED.get(cls, {})
+    default = kwargs.get(name, next(f.default for f in dataclasses.fields(spec_cls)
+                                    if f.name == name))
+    value = default[:-1] + (bound,) if isinstance(default, tuple) else bound
+    if (cls, key) in (("DeterministicSpec", "period"), ("GridSpec", "det_period")):
+        # a period of 1 passes its range, but every tone aliases at it
+        with pytest.raises(ValueError, match="alias") as exc:
+            spec_cls(**{**kwargs, name: value})
+        assert f"{cls}.{key}:" not in str(exc.value)
+        return
+    assert getattr(spec_cls(**{**kwargs, name: value}), name) == value
 
 
 @pytest.mark.parametrize("argv", [("diagnose", "--window", "4"), ("transform",),
