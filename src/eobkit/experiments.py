@@ -81,7 +81,7 @@ class LossSpec(losses.HarmonizedConfig):
     """Training-loss selector, mirroring the JSON loss config: the harmonized
     losses read it as their config, and `beta` drives the magnitude EMA."""
 
-    norm: str = "l2"
+    norm: str = field(default="l2", metadata={"choices": ("l1", "l2")})
     kind: str = field(default="temporal", metadata={"choices": ("temporal", "harmonized")})
     beta: float = field(default=0.3, metadata={"min": 0, "below": 1})
 
@@ -481,13 +481,13 @@ def run_grid(grid: GridSpec, model: ModelSpec, cfg: TrainConfig,
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if cfg.loss.kind == "harmonized" and cfg.loss.transform == "dwt":
+    if cfg.loss.kind == "harmonized":
         for horizon in grid.horizons:
             try:
-                transforms._check_dwt(cfg.loss.wavelet, cfg.loss.levels, (horizon,))
+                transforms._basis(cfg.loss.transform, horizon, cfg.loss.wavelet, cfg.loss.levels)
             except ValueError as exc:
-                raise ValueError(f"a DWT loss with levels={cfg.loss.levels} cannot read "
-                                 f"horizon {horizon}: {exc}") from None
+                raise ValueError(f"a {cfg.loss.transform.upper()} loss with levels="
+                                 f"{cfg.loss.levels} cannot read horizon {horizon}: {exc}") from None
     window = grid.history + max(grid.horizons)
     train, test = (len(part) for part in chronological_split(np.empty(grid.series_length),
                                                              cfg.split))

@@ -26,10 +26,11 @@ residual x - x_hat transformed once, is eight losses: temporal (identity,
 w = 1), real/imaginary (DFT, w = 1), harmonized (DFT, DWT or identity,
 magnitude weights) and whitened (DFT only, w = 1/f_bar^p). `_polar_loss`
 penalizes an amplitude and a phase residual of one reference half
-spectrum, the prediction's or the error's. Gradients are pulled back
-through the transform adjoint: `transforms._rdft_synthesis` (an inverse
-real FFT, which carries the multiplicities) of the per-bin gradient
-(d/dRe + j*d/dIm) for the half spectrum, the inverse transform otherwise.
+spectrum, the prediction's or the error's. Both kernels read their
+coordinates from one lookup, `transforms._basis`: its analysis, its bin
+counts, its fold of per-bin weights, and its synthesis, the adjoint that
+pulls the per-coordinate gradient (d/dRe + j*d/dIm on the half spectrum)
+back to the temporal domain; `_coefficient_loss` branches on no transform.
 
 All functions act on the last axis of (..., L) arrays and return values per
 row; the caller reduces over rows. The target broadcasts to the
@@ -93,6 +94,8 @@ def _check_norm(norm: str) -> None:
 
 
 def _penalty(r: np.ndarray, norm: str) -> np.ndarray:
+    if np.iscomplexobj(r):  # pen of the real part plus pen of the imaginary part
+        return _penalty(r.real, norm) + _penalty(r.imag, norm)
     return r**2 if norm == "l2" else np.abs(r)
 
 
@@ -158,17 +161,15 @@ class HarmonizedConfig:
     use gamma=0.3 for imputation-style reconstruction.
     """
 
-    norm: str = "l1"
+    norm: str = field(default="l1", metadata={"choices": ("l1", "l2")})
     gamma: float = field(default=0.5, metadata={"min": 0})
     eps: float = field(default=1e-8, metadata={"above": 0})
     transform: str = field(default="dft", metadata={"choices": ("dft", "dwt", "identity")})
-    wavelet: str = "haar"
-    levels: int = 1
+    wavelet: str = field(default="haar", metadata={"choices": tuple(transforms.WAVELET_FILTERS)})
+    levels: int = field(default=1, metadata={"min": 1})
 
     def __post_init__(self):
         _cast(self)
-        _check_norm(self.norm)
-        transforms._check_dwt(self.wavelet, self.levels)
 
 
 # ---------------------------------------------------------------------------
@@ -188,12 +189,12 @@ def _check_lengths(x: np.ndarray, x_hat: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 def coefficient_magnitudes(x: np.ndarray, cfg: HarmonizedConfig) -> np.ndarray:
-    """Per-bin magnitudes |f_k| of x under cfg.transform (complex modulus for dft)."""
+    """Per-bin magnitudes of x under cfg.transform: all L DFT bins for dft, else |coordinates|."""
     x = np.asarray(x, dtype=float)
     if cfg.transform == "dft":
         return np.abs(transforms.dft_forward(x))
-    return np.abs(transforms._dwt_analysis(x, cfg.wavelet, cfg.levels)
-                  if cfg.transform == "dwt" else x)
+    L = x.shape[-1] if x.ndim else 1  # a 0-d x is one sample
+    return np.abs(transforms._basis(cfg.transform, L, cfg.wavelet, cfg.levels).analysis(x))
 
 
 def _coefficient_loss(x: np.ndarray, x_hat: np.ndarray, weights: float | np.ndarray,
@@ -203,37 +204,25 @@ def _coefficient_loss(x: np.ndarray, x_hat: np.ndarray, weights: float | np.ndar
 
     The one kernel of every loss linear in the coefficients: `weights` is 1 or
     one weight per bin, as an (L,) array shared by every row or an (..., L)
-    array of per-row weights that broadcasts against the rows; pen is |.| or
-    (.)^2 on the real and imaginary parts, and the gradient is pulled back
-    through the transform's adjoint. For dft,
-    d is the half spectrum: pen(d_k) = pen(d_{L-k}), so the full sum is
-    sum_k m_k w~_k pen(d_k) over bins 0..L//2 with w~_k = (w_k + w_{L-k})/2,
-    exact for any weights, and w~ * pen'(d) pulls back through the synthesis.
+    array of per-row weights that broadcasts against the rows. d are the coordinates
+    of `transforms._basis`, each counted m_k times with its folded weight, and
+    w * pen'(d) pulls back through its synthesis. The half-spectrum sum of dft is
+    the full one for any weights, since pen(d_k) = pen(d_{L-k}).
     """
     x, x_hat = _check_lengths(x, x_hat)
     L = x_hat.shape[-1]
     if np.ndim(weights) and np.shape(weights)[-1] != L:
         raise ValueError(f"length mismatch: weights of shape {np.shape(weights)}, "
                          f"series of length {L}")
-    if transform == "dft":
-        d = transforms._rdft_analysis(x - x_hat)
-        multiplicity, mirror = transforms._rdft_bins(L)
-        if np.ndim(weights):
-            weights = 0.5 * (weights[..., :mirror.size] + weights[..., mirror])
-        value_weights = multiplicity * weights
-        pen = _penalty(d.real, norm) + _penalty(d.imag, norm)
-    else:
-        d = transforms._dwt_analysis(x - x_hat, wavelet, levels) if transform == "dwt" else x - x_hat
-        value_weights = weights
-        pen = _penalty(d, norm)
+    analysis, synthesis, multiplicity, fold = transforms._basis(transform, L, wavelet, levels)
+    d = analysis(x - x_hat)
+    if np.ndim(weights):
+        weights = fold(weights)
 
     def grad() -> np.ndarray:
-        g = -weights * _penalty_grad(d, norm)
-        if transform == "dft":
-            return transforms._rdft_synthesis(g, L)
-        return transforms._dwt_synthesis(g, wavelet, levels) if transform == "dwt" else g
+        return synthesis(-weights * _penalty_grad(d, norm))
 
-    return LossEval(value=np.sum(value_weights * pen, axis=-1), _grad_fn=grad)
+    return LossEval(value=np.sum(multiplicity * weights * _penalty(d, norm), axis=-1), _grad_fn=grad)
 
 
 # ---------------------------------------------------------------------------
@@ -306,17 +295,17 @@ def _polar_loss(names: tuple[str, str], L: int, ref: np.ndarray, ref_amp: np.nda
     the unit phasor ref/|ref| and along d(arg ref)/d(Re, Im) = j ref/|ref|^2.
     """
     _check_norm(norm)
-    multiplicity = transforms._rdft_bins(L)[0]
+    _, synthesis, multiplicity, _ = transforms._basis("dft", L)
     alive = ref_amp >= eps
     phase_res = np.where(alive, phase_res, 0.0)
 
     def amp_grad() -> np.ndarray:
         u = np.divide(ref, ref_amp, out=np.ones_like(ref), where=ref_amp > 0.0)
-        return transforms._rdft_synthesis(-_penalty_grad(amp_res, norm) * u, L)
+        return synthesis(-_penalty_grad(amp_res, norm) * u)
 
     def phase_grad() -> np.ndarray:
         direction = np.divide(1j * ref, ref_amp**2, out=np.zeros_like(ref), where=alive)
-        return transforms._rdft_synthesis(-_penalty_grad(phase_res, norm) * direction, L)
+        return synthesis(-_penalty_grad(phase_res, norm) * direction)
 
     def part(res: np.ndarray, grad: Callable[[], np.ndarray]) -> LossEval:
         return LossEval(value=np.sum(multiplicity * _penalty(res, norm), axis=-1), _grad_fn=grad)

@@ -74,7 +74,7 @@ _CASTS = {"int": _int, "float": _float, "bool": _bool,
           "tuple[int, ...]": _items(_int), "tuple[float, ...]": _items(_float)}
 
 
-# what a field's metadata may require of its value, or of each item of a tuple
+# what a field's metadata may require of its value, or of each item of a tuple field
 _RANGE = {"min": (operator.ge, ">="), "above": (operator.gt, ">"), "max": (operator.le, "<="),
           "below": (operator.lt, "<"), "choices": (lambda v, allowed: v in allowed, "one of")}
 
@@ -89,7 +89,7 @@ def _cast(spec) -> None:
             value = cast(getattr(spec, f.name)) if cast else getattr(spec, f.name)
             for key, (holds, relation) in _RANGE.items():
                 if key in f.metadata:
-                    bad = [v for v in (value if isinstance(value, tuple) else (value,))
+                    bad = [v for v in (value if f.type.startswith("tuple") else (value,))
                            if not holds(v, f.metadata[key])]
                     if bad:
                         raise ValueError(f"must be {relation} {f.metadata[key]!r}, got {bad[0]!r}")

@@ -4,9 +4,7 @@ Both act on the last axis of (..., L) arrays, so one call transforms a
 batch of windows. The DFT returns complex coefficients with the unitary
 normalization 1/sqrt(L), so energy is preserved (Parseval); its inverse
 keeps the real part, which is also the adjoint that pulls coefficient
-gradients back to real signals. The public DFT stays full (all L bins); the
-losses read the half spectrum (bins 0..L//2, `_rdft_analysis`) of their
-real residuals and pull gradients back with its adjoint, `_rdft_synthesis`.
+gradients back to real signals. The public DFT stays full (all L bins).
 
 The DWT is the pyramidal filter-bank scheme with periodic boundary
 extension, which keeps the analysis matrix W strictly orthogonal
@@ -14,6 +12,13 @@ extension, which keeps the analysis matrix W strictly orthogonal
 round-trips are exact to rounding; one rule, `_check_dwt`, says what it
 accepts. Window lengths (L <= 256) are multiplied on their last axis by a
 cached orthogonal L x L matrix, long series go through the O(L) filter bank.
+
+A loss sums over the coordinates of `_basis(kind, L, wavelet, levels)`, built on
+first call: an analysis, its adjoint synthesis under each coordinate's multiplicity
+m (Re<analysis(x), m * g> = <x, synthesis(g)> for real x) and the fold of per-bin
+weights onto the coordinates. dft is the half spectrum, bins 0..L//2: bin k takes
+the mean weight of k and its conjugate mirror L - k and counts twice, DC and
+Nyquist (their own mirrors) once. dwt is the bands, identity the samples.
 
 Spectral truncation keeps the first `keep` DFT bins as a compact
 optimization target: it returns the zero-filled spectrum, which is exactly
@@ -23,6 +28,7 @@ discarded.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 from dataclasses import dataclass
@@ -63,13 +69,6 @@ def dft_inverse(f: np.ndarray) -> np.ndarray:
     return np.fft.ifft(f, norm="ortho", axis=-1).real
 
 
-# The losses read the half spectrum of a real signal, bins 0..L//2: the rest are
-# conjugate mirrors. Bin k stands for m_k bins of the full spectrum, m_k = 1 at DC
-# and at Nyquist (even L) and 2 elsewhere, so that for real x and any half spectrum g
-#     Re<_rdft_analysis(x), m * g> = <x, _rdft_synthesis(g, L)>:
-# the synthesis, which drops the imaginary parts of the DC and Nyquist bins, is the
-# pullback of a sum over half-spectrum bins weighted by m.
-
 def _rdft_analysis(x: np.ndarray) -> np.ndarray:
     """Bins 0..L//2 of the unitary DFT of the real last axis of (..., L)."""
     return np.fft.rfft(x, norm="ortho", axis=-1)
@@ -79,17 +78,6 @@ def _rdft_synthesis(g: np.ndarray, L: int) -> np.ndarray:
     """Real signals of length L from half spectra g (L//2 + 1 bins on the last axis):
     the adjoint of _rdft_analysis under the multiplicity-weighted inner product."""
     return np.fft.irfft(g, n=L, norm="ortho", axis=-1)
-
-
-@functools.lru_cache(maxsize=64)
-def _rdft_bins(L: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only multiplicities m_k and mirror bins (L - k) mod L of the half spectrum."""
-    k = np.arange(L // 2 + 1)
-    multiplicity = np.where((k == 0) | (2 * k == L), 1.0, 2.0)
-    mirror = -k % L
-    multiplicity.flags.writeable = False
-    mirror.flags.writeable = False
-    return multiplicity, mirror
 
 
 def real_fourier_coordinates(x: np.ndarray) -> np.ndarray:
@@ -124,14 +112,14 @@ WAVELET_FILTERS = {
 }
 
 
-def _check_dwt(wavelet: object, levels: int, shape: tuple[int, ...] | None = None) -> None:
-    """The DWT's one rule: a known wavelet name, levels >= 1 and, for a shape, a last
-    axis of positive length divisible by 2^levels. Every path to _filters passes it."""
+def _check_dwt(wavelet: object, levels: int, shape: tuple[int, ...]) -> None:
+    """The DWT's one rule: a known wavelet name, levels >= 1 and a last axis of positive
+    length divisible by 2^levels. Every path to _filters passes it."""
     if not (isinstance(wavelet, str) and wavelet in WAVELET_FILTERS):
         raise ValueError(f"wavelet must be one of {sorted(WAVELET_FILTERS)}, got {wavelet!r}")
     if levels < 1:
         raise ValueError(f"levels must be >= 1, got {levels}")
-    if shape is not None and (not shape or shape[-1] < 1 or shape[-1] % (1 << levels)):
+    if not shape or shape[-1] < 1 or shape[-1] % (1 << levels):
         raise ValueError(f"shape {shape} must end in a positive length divisible by "
                          f"2^levels = {1 << levels}")
 
@@ -289,6 +277,29 @@ def dwt_inverse(w: WaveletCoeffs) -> np.ndarray:
 def dwt_matrix(length: int, wavelet: str = "haar", levels: int = 1) -> np.ndarray:
     """Materialize the analysis matrix W (rows map x to coefficients) as a writable copy."""
     return dwt_forward(np.eye(length), wavelet, levels).coeffs.T.copy()
+
+
+_Basis = collections.namedtuple("_Basis", "analysis synthesis multiplicity fold")
+
+
+@functools.lru_cache(maxsize=64)
+def _basis(kind: str, L: int, wavelet: str = "haar", levels: int = 1) -> _Basis:
+    """A loss's coordinates under transform `kind` at length L: multiplicity is a read-only
+    array for dft and 1.0 (each coordinate counts once) otherwise. The lambdas look each
+    transform up when they run, so that a replaced one is the one run."""
+    if kind == "dft":
+        mirror = -np.arange(L // 2 + 1) % L  # (L - k) mod L; a bin equal to its mirror counts once
+        multiplicity = np.where(mirror == np.arange(mirror.size), 1.0, 2.0)
+        multiplicity.flags.writeable = False
+        return _Basis(lambda x: _rdft_analysis(x), lambda g: _rdft_synthesis(g, L), multiplicity,
+                      lambda w: 0.5 * (w[..., :mirror.size] + w[..., mirror]))
+    if kind == "dwt":
+        _check_dwt(wavelet, levels, (L,))
+        return _Basis(lambda x: _dwt_analysis(x, wavelet, levels),
+                      lambda g: _dwt_synthesis(g, wavelet, levels), 1.0, lambda w: w)
+    if kind == "identity":
+        return _Basis(lambda x: x, lambda g: g, 1.0, lambda w: w)
+    raise ValueError(f"transform must be one of ('dft', 'dwt', 'identity'), got {kind!r}")
 
 
 def pad_edge_pow2(x: np.ndarray) -> tuple[np.ndarray, int]:

@@ -177,6 +177,8 @@ def test_criterion_08_transform_correctness():
 GRID = GridSpec(ssnr_x_values=(32.0, 104.0, 176.0, 248.0, 320.0), horizons=(64,),
                 replications=3, seed=0)
 MODEL = ModelSpec(kind="linear")
+# the three desk grids below run on two workers: a grid's records do not depend on the
+# worker count (tests/test_cli.py::TestSimulate::test_core_csv_identical_across_jobs)
 
 
 def desk_cfg(loss: LossSpec) -> TrainConfig:
@@ -187,7 +189,7 @@ def desk_cfg(loss: LossSpec) -> TrainConfig:
 @pytest.fixture(scope="module")
 def temporal_grid():
     cfg = desk_cfg(LossSpec(kind="temporal", norm="l2"))
-    return run_grid(GRID, MODEL, cfg, jobs=1)
+    return run_grid(GRID, MODEL, cfg, jobs=2)
 
 
 HARMONIZED_LOSS = LossSpec(kind="harmonized", norm="l1", gamma=0.5, beta=0.3,
@@ -196,13 +198,13 @@ HARMONIZED_LOSS = LossSpec(kind="harmonized", norm="l1", gamma=0.5, beta=0.3,
 
 @pytest.fixture(scope="module")
 def harmonized_grid():
-    return run_grid(GRID, MODEL, desk_cfg(HARMONIZED_LOSS), jobs=1)
+    return run_grid(GRID, MODEL, desk_cfg(HARMONIZED_LOSS), jobs=2)
 
 
 @pytest.fixture(scope="module")
 def unweighted_grid():
     """The harmonized arm with its magnitude weights off: plain l1 over the DFT."""
-    return run_grid(GRID, MODEL, desk_cfg(replace(HARMONIZED_LOSS, gamma=0.0)), jobs=1)
+    return run_grid(GRID, MODEL, desk_cfg(replace(HARMONIZED_LOSS, gamma=0.0)), jobs=2)
 
 
 def test_criterion_09_paradox_trend(temporal_grid):

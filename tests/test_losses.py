@@ -181,10 +181,8 @@ class TestPenaltyRule:
         ev = losses._coefficient_loss(x, x_hat, w, norm, transform, "db2", 1)
         r = x - x_hat
         if transform == "dft":
-            mirror = transforms._rdft_bins(L)[1]
-            w_half = 0.5 * (w[..., :mirror.size] + w[..., mirror]) if per_row else w
-            want = transforms._rdft_synthesis(
-                self.closed_form(transforms._rdft_analysis(r), w_half, norm), L)
+            analysis, synthesis, _, fold = transforms._basis("dft", L)
+            want = synthesis(self.closed_form(analysis(r), fold(w) if per_row else w, norm))
         elif transform == "dwt":
             want = transforms._dwt_synthesis(
                 self.closed_form(transforms._dwt_analysis(r, "db2", 1), w, norm), "db2", 1)

@@ -57,10 +57,12 @@ BOUNDED_FIELDS = {
     "DeterministicSpec": {"base_amplitude": {"min": 0},
                           "phases": {"min": 0, "below": 2 * math.pi}, "period": {"min": 1}},
     "HybridSpec": {"length": {"min": 0}},
-    "HarmonizedConfig": {"gamma": {"min": 0}, "eps": {"above": 0},
-                         "transform": {"choices": ("dft", "dwt", "identity")}},
-    "LossSpec": {"gamma": {"min": 0}, "eps": {"above": 0},
+    "HarmonizedConfig": {"norm": {"choices": ("l1", "l2")}, "gamma": {"min": 0},
+                         "eps": {"above": 0}, "transform": {"choices": ("dft", "dwt", "identity")},
+                         "wavelet": {"choices": ("haar", "db2")}, "levels": {"min": 1}},
+    "LossSpec": {"norm": {"choices": ("l1", "l2")}, "gamma": {"min": 0}, "eps": {"above": 0},
                  "transform": {"choices": ("dft", "dwt", "identity")},
+                 "wavelet": {"choices": ("haar", "db2")}, "levels": {"min": 1},
                  "kind": {"choices": ("temporal", "harmonized")}, "beta": {"min": 0, "below": 1}},
     "ModelSpec": {"kind": {"choices": ("linear", "mlp1")}, "hidden": {"min": 1},
                   "activation": {"choices": ("tanh", "relu")}, "init_seed": {"min": 0}},
@@ -256,6 +258,21 @@ def test_closed_bound_is_accepted(cls, key, bound):
         assert f"{cls}.{key}:" not in str(exc.value)
         return
     assert getattr(spec_cls(**{**kwargs, name: value}), name) == value
+
+
+CHOICE_FIELDS = [(cls, key, choice) for cls, bounded in BOUNDED_FIELDS.items()
+                 for key, limits in bounded.items() for choice in limits.get("choices", ())]
+
+
+@pytest.mark.parametrize("cls,key,choice", CHOICE_FIELDS,
+                         ids=[f"{c[0]}.{c[1]}={c[2]}" for c in CHOICE_FIELDS])
+def test_one_tuple_of_a_choice_is_rejected(cls, key, choice):
+    """A string field takes a choice, not a sequence holding one."""
+    spec_cls = next(c for c in CLASSES if c.__name__ == cls)
+    name = next(f.name for f in dataclasses.fields(spec_cls) if _json_key(f) == key)
+    with pytest.raises(ValueError, match=rf"^{cls}\.{key}: must be one of .*, got \('{choice}',\)$"):
+        spec_cls(**{**REQUIRED.get(cls, {}), name: (choice,)})
+    assert getattr(spec_cls(**{**REQUIRED.get(cls, {}), name: choice}), name) == choice
 
 
 @pytest.mark.parametrize("argv", [("diagnose", "--window", "4"), ("transform",),

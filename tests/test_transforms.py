@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -374,27 +377,67 @@ def test_dft_on_the_last_axis_property(case):
     np.testing.assert_array_equal(discarded, 0.0)
 
 
-@given(dft_cases())
-@example(((), 1, 0))
-@example(((3,), 2, 0))
-@example(((2, 3), 129, 1))
-@settings(max_examples=60, deadline=None)
+@st.composite
+def basis_cases(draw):
+    """A kind, its wavelet and levels, and a dft case whose length a DWT accepts."""
+    kind = draw(st.sampled_from(["dft", "identity", "dwt"]))
+    wavelet, levels = draw(st.sampled_from(["haar", "db2"])), draw(st.integers(1, 2))
+    batch, L, seed = draw(dft_cases())
+    if kind == "dwt":
+        L = max(L >> levels, 1) << levels
+    return kind, wavelet, levels, batch, L, seed
+
+
+@given(basis_cases())
+@example(("dft", "haar", 1, (), 1, 0))
+@example(("dft", "haar", 1, (3,), 2, 0))
+@example(("dft", "haar", 1, (2, 3), 129, 1))
+@example(("dwt", "db2", 2, (2, 3), 4, 2))
+@example(("identity", "haar", 1, (), 1, 3))
+@settings(max_examples=90, deadline=None)
 def test_half_spectrum_pair_is_adjoint_under_multiplicities(case):
-    """Re<rfft(x), m * g> = <x, irfft(g)> for any complex half spectrum g."""
-    batch, L, seed = case
+    """sum_k m_k Re(analysis(x)_k conj(g_k)) = <x, synthesis(g)> for any coordinates g (complex
+    on the half spectrum), and the fold maps per-bin weights to the mean over each bin and
+    its mirror for dft, and leaves them for the real bases, whose coordinates count once."""
+    kind, wavelet, levels, batch, L, seed = case
     rng = np.random.default_rng(seed)
-    H = L // 2 + 1
+    basis = transforms._basis(kind, L, wavelet, levels)
     x = rng.normal(size=batch + (L,))
-    g = rng.normal(size=batch + (H,)) + 1j * rng.normal(size=batch + (H,))
-    f = transforms._rdft_analysis(x)
-    multiplicity, mirror = transforms._rdft_bins(L)
+    f = basis.analysis(x)
+    H = L // 2 + 1 if kind == "dft" else L
     assert f.shape == batch + (H,)
-    assert not multiplicity.flags.writeable and not mirror.flags.writeable
-    np.testing.assert_array_equal(mirror, (L - np.arange(H)) % L)
-    assert np.sum(multiplicity) == L
-    np.testing.assert_allclose(f, dft_forward(x)[..., :H], rtol=0,
-                               atol=1e-12 * np.max(np.abs(x)) * math.sqrt(L))
-    assert np.max(np.abs(transforms._rdft_synthesis(f, L) - x)) < 1e-10
-    np.testing.assert_allclose(np.sum((np.conj(f) * multiplicity * g).real, axis=-1),
-                               np.sum(x * transforms._rdft_synthesis(g, L), axis=-1),
-                               rtol=0, atol=1e-12 * L * np.max(np.abs(g)) * np.max(np.abs(x)))
+    g = rng.normal(size=f.shape) + (1j * rng.normal(size=f.shape) if kind == "dft" else 0.0)
+    m = basis.multiplicity
+    assert np.sum(np.broadcast_to(m, (H,))) == L
+    assert np.max(np.abs(basis.synthesis(f) - x)) < 1e-10
+    scale = np.sqrt(np.sum(x**2, axis=-1) * np.sum(m * np.abs(g) ** 2, axis=-1))
+    gap = np.abs(np.sum(m * (f * np.conj(g)).real, axis=-1)
+                 - np.sum(x * basis.synthesis(g), axis=-1))
+    assert np.all(gap <= 1e-10 * scale), (gap, scale)
+    w = rng.uniform(0.5, 2.0, size=batch + (L,))
+    if kind == "dft":
+        np.testing.assert_allclose(f, dft_forward(x)[..., :H], rtol=0,
+                                   atol=1e-12 * np.max(np.abs(x)) * math.sqrt(L))
+        mirror = (L - np.arange(H)) % L
+        assert not m.flags.writeable
+        np.testing.assert_array_equal(m, np.where(np.arange(H) == mirror, 1.0, 2.0))
+        np.testing.assert_array_equal(basis.fold(w), 0.5 * (w[..., :H] + w[..., mirror]))
+        symmetric = w + w[..., (L - np.arange(L)) % L]
+        np.testing.assert_array_equal(basis.fold(symmetric), symmetric[..., :H])
+    else:
+        assert m == 1.0 and basis.fold(w) is w
+
+
+def test_basis_checks_its_kind_and_the_dwt_length():
+    with pytest.raises(ValueError, match="transform must be one of"):
+        transforms._basis("fft", 8)
+    with pytest.raises(ValueError, match=r"divisible by 2\^levels = 4"):
+        transforms._basis("dwt", 6, "haar", 2)
+    assert transforms._basis("dft", 8) is transforms._basis("dft", 8)
+
+
+def test_import_builds_no_basis():
+    code = "import eobkit, eobkit.transforms as t; print(t._basis.cache_info().currsize)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "0"
